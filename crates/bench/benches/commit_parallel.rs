@@ -1,15 +1,8 @@
-//! Macro-benchmark of the rail-sharded commit phase: the same multi-rail churn
-//! workload driven once with the sequential commit path (`commit_threads` unset) and
-//! once with four commit workers, so `BENCH_scale.json` tracks both sides of the
-//! trade. A 256-GPU DGX H200 slice (8 rails) under the datacenter-scale optical
-//! config with a rail-flap pulse mid-run gives the commit phase per-rail work worth
-//! sharding — large same-timestamp batches of pure per-rail effects — while staying
-//! small enough for the bench budget.
-//!
-//! On a single-core box the sharded side pays scoped-thread overhead without any
-//! parallel speedup, so it benches *slower* than sequential there; the number is
-//! still worth tracking (it bounds the overhead), and the byte-identity contract is
-//! asserted in the setup before either side is timed.
+//! Macro-benchmark of the sequential commit path under multi-rail churn: a 256-GPU
+//! DGX H200 slice (8 rails) under the datacenter-scale optical config with a
+//! rail-flap pulse mid-run, so every commit class — compute, single- and multi-rail
+//! optical collectives, the injections and the reinstalls after recovery — runs
+//! through the one event loop, while staying small enough for the bench budget.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use opus::{Scenario, ScenarioEvent};
@@ -22,11 +15,9 @@ const GPUS: u32 = 256;
 fn bench_commit_parallel(c: &mut Criterion) {
     let cluster = scaled_cluster(GPUS);
     let dag = scaled_dag(GPUS);
-    let sequential = scale_run_config(2);
-    let mut sharded = sequential;
-    sharded.commit_threads = Some(4);
+    let config = scale_run_config(2);
 
-    let run = |config| {
+    let run = || {
         Scenario::new(cluster.clone())
             .job(dag.clone(), config)
             .inject(SimTime::from_millis(50), ScenarioEvent::RailDown(RailId(2)))
@@ -34,20 +25,10 @@ fn bench_commit_parallel(c: &mut Criterion) {
             .run()
     };
 
-    // The whole point of the sharded path is that it changes nothing observable.
-    assert_eq!(
-        run(sequential).fleet.makespan,
-        run(sharded).fleet.makespan,
-        "sharded commit must be indistinguishable from sequential"
-    );
-
     let mut group = c.benchmark_group("commit_parallel");
     group.sample_size(10);
     group.bench_function("commit_sequential_256", |b| {
-        b.iter(|| black_box(run(sequential).fleet.makespan))
-    });
-    group.bench_function("commit_sharded_4thr_256", |b| {
-        b.iter(|| black_box(run(sharded).fleet.makespan))
+        b.iter(|| black_box(run().fleet.makespan))
     });
     group.finish();
 }

@@ -2,7 +2,7 @@
 //! the substrate every simulation in the workspace runs on.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use railsim_sim::{Engine, EventQueue, ShardedEngine, SimDuration, SimTime};
+use railsim_sim::{Engine, EventQueue, SimDuration, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_10k", |b| {
@@ -39,31 +39,5 @@ fn bench_engine_cascade(c: &mut Criterion) {
     });
 }
 
-fn bench_sharded_engine(c: &mut Criterion) {
-    // The same 10k-event workload as `event_queue_push_pop_10k`, spread across 8
-    // lanes (one per DGX H200 rail): measures the cross-shard merge overhead against
-    // the smaller per-lane heaps.
-    c.bench_function("sharded_engine_push_pop_10k_8shards", |b| {
-        b.iter(|| {
-            let mut engine: ShardedEngine<u64> = ShardedEngine::new(8);
-            for i in 0..10_000u64 {
-                let t = (i * 2_654_435_761) % 1_000_000;
-                let shard = engine.shard_for((i % 8) as u32);
-                engine.schedule_at(shard, SimTime::from_nanos(t), i);
-            }
-            let mut total = 0u64;
-            while let Some((_, ev)) = engine.pop() {
-                total = total.wrapping_add(black_box(ev));
-            }
-            total
-        })
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_event_queue,
-    bench_engine_cascade,
-    bench_sharded_engine
-);
+criterion_group!(benches, bench_event_queue, bench_engine_cascade);
 criterion_main!(benches);

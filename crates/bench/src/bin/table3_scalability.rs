@@ -1,29 +1,26 @@
 //! Table 3: the OCS technology scalability–latency trade-off
 //! (`#GPUs = scale-up size × radix / 2`), plus the datacenter-scale *simulated*
 //! scalability runs that back it up: synthesized 1k–10k GPU clusters executed by the
-//! sharded event engine under the electrical baseline and the provisioned optical
+//! sequential event engine under the electrical baseline and the provisioned optical
 //! policy.
 //!
 //! ```text
 //! table3_scalability [--gpus 1024,4096,10240,102400,1024000] [--iterations 2]
-//!                    [--parallel-threads N] [--commit-threads N]
 //!                    [--policy electrical|optical|replan|both]
 //!                    [--scenario clean|rail-flap|two-job] [--no-memo] [--skip-sim]
+//!                    [--help]
 //! ```
 //!
 //! `--gpus` accepts a comma-separated list of cluster sizes (positive multiples of
 //! 64); the default runs the 1024-GPU point so the binary stays interactive, and the
-//! CI scale-smoke steps run the 1k point sequentially, the 10k point with
-//! `--parallel-threads`, the 10k point with `--policy optical`, and the 1k
-//! `rail-flap` / `two-job` scenario points under `timeout 120`. The full paper regime
+//! CI scale-smoke steps run the 1k point, the 10k and 100k points with
+//! `--policy optical`, and the 1k `rail-flap` / `two-job` scenario points under
+//! `timeout 120`. The full paper regime
 //! is `--gpus 1024,4096,10240`; `--gpus 102400` exercises the 100k-GPU ceiling
 //! (interned DAG + dense controller state + port-indexed OCS matching; see
 //! EXPERIMENTS.md for the memory budget); `--gpus 1024000` is the million-GPU
 //! regime — a documented manual run (cold-arena compaction keeps it inside the
-//! 12 GiB budget; see EXPERIMENTS.md). `--parallel-threads N` steps each head
-//! time-slice on N scoped worker threads, and `--commit-threads N` commits each
-//! drained batch's per-rail traffic on up to N rail-sharded workers — results are
-//! byte-identical for any N on either knob.
+//! 12 GiB budget; see EXPERIMENTS.md).
 //! `--policy` restricts a point to one network policy (the default runs the
 //! electrical baseline and the provisioned optical policy back to back); `replan`
 //! runs the provisioned optical policy with `RecoveryPolicy::Replan`, so a
@@ -44,14 +41,30 @@
 //! so many-iteration runs re-step every iteration — the naive control for measuring
 //! the fast-forward speedup (both paths produce byte-identical metrics).
 //!
-//! `--skip-sim` prints only the OCS technology table.
+//! `--skip-sim` prints only the OCS technology table. `--help` prints the usage and
+//! exits 0; an unknown flag or a missing or malformed value prints the usage to
+//! stderr and exits 2.
 
 use opus::{baseline_of, OpusConfig, RecoveryPolicy, Scenario, ScenarioEvent, ScenarioResult};
 use railsim_bench::{mem, scale_run_config, scaled_cluster, scaled_dag, Report};
 use railsim_cost::ocs_tech::{ocs_technologies, scaleup};
 use railsim_topology::RailId;
 use serde::Serialize;
+use std::process::ExitCode;
 use std::time::Instant;
+
+const USAGE: &str = "usage: table3_scalability [--gpus N[,N...]] [--iterations N]
+                          [--policy electrical|optical|replan|both]
+                          [--scenario clean|rail-flap|two-job] [--no-memo] [--skip-sim]
+                          [--help]
+
+  --gpus        comma-separated cluster sizes, positive multiples of 64 (default 1024;
+                multiples of 128 for --scenario two-job)
+  --iterations  iterations per run, at least 1 (default 2; rail-flap needs 2)
+  --policy      network policies to run (default both)
+  --scenario    what runs at each point (default clean)
+  --no-memo     disable steady-state iteration memoization
+  --skip-sim    print only the OCS technology table";
 
 /// One simulated scalability data point, written to `results/table3_scale.json`.
 #[derive(Debug, Clone, Serialize)]
@@ -64,10 +77,6 @@ struct ScaleRun {
     job: u32,
     /// Number of jobs sharing the fabric in this run.
     num_jobs: u32,
-    event_shards: usize,
-    parallel_threads: u32,
-    /// Rail-sharded commit-phase worker count (1 = sequential commits).
-    commit_threads: u32,
     policy: &'static str,
     dag_tasks: usize,
     iterations: u32,
@@ -128,96 +137,93 @@ impl ScenarioKind {
 struct Args {
     gpus: Vec<u32>,
     iterations: u32,
-    parallel_threads: u32,
-    commit_threads: u32,
     policy: PolicyFilter,
     scenario: ScenarioKind,
     memoize: bool,
     skip_sim: bool,
 }
 
-fn parse_args() -> Args {
+/// Parses the command line. `Ok(None)` means `--help` was asked for; `Err` carries
+/// the reason an argument was rejected.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
     let mut parsed = Args {
         gpus: vec![1024u32],
         iterations: 2,
-        parallel_threads: 1,
-        commit_threads: 1,
         policy: PolicyFilter::Both,
         scenario: ScenarioKind::Clean,
         memoize: true,
         skip_sim: false,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg.as_str() {
+            "--help" => return Ok(None),
             "--gpus" => {
-                let list = args.next().expect("--gpus needs a comma-separated list");
-                parsed.gpus = list
+                parsed.gpus = value()?
                     .split(',')
-                    .map(|s| s.trim().parse().expect("--gpus entries must be integers"))
-                    .collect();
+                    .map(|s| match s.trim().parse::<u32>() {
+                        Ok(n) if n > 0 && n.is_multiple_of(64) => Ok(n),
+                        _ => Err(format!(
+                            "--gpus entries must be positive multiples of 64, got {s:?}"
+                        )),
+                    })
+                    .collect::<Result<_, _>>()?;
             }
             "--iterations" => {
-                parsed.iterations = args
-                    .next()
-                    .expect("--iterations needs a value")
-                    .parse()
-                    .expect("--iterations must be an integer");
-                assert!(parsed.iterations > 0, "--iterations must be positive");
-            }
-            "--parallel-threads" => {
-                parsed.parallel_threads = args
-                    .next()
-                    .expect("--parallel-threads needs a value")
-                    .parse()
-                    .expect("--parallel-threads must be an integer");
-                assert!(
-                    parsed.parallel_threads > 0,
-                    "--parallel-threads must be positive"
-                );
-            }
-            "--commit-threads" => {
-                parsed.commit_threads = args
-                    .next()
-                    .expect("--commit-threads needs a value")
-                    .parse()
-                    .expect("--commit-threads must be an integer");
-                assert!(
-                    parsed.commit_threads > 0,
-                    "--commit-threads must be positive"
-                );
+                parsed.iterations = match value()?.parse::<u32>() {
+                    Ok(n) if n > 0 => n,
+                    _ => return Err("--iterations must be a positive integer".to_string()),
+                };
             }
             "--policy" => {
-                parsed.policy = match args.next().expect("--policy needs a value").as_str() {
+                parsed.policy = match value()?.as_str() {
                     "electrical" => PolicyFilter::Electrical,
                     "optical" => PolicyFilter::Optical,
                     "replan" => PolicyFilter::Replan,
                     "both" => PolicyFilter::Both,
                     other => {
-                        panic!("--policy must be electrical, optical, replan or both, got {other}")
+                        return Err(format!(
+                            "--policy must be electrical, optical, replan or both, got {other}"
+                        ))
                     }
                 };
             }
             "--scenario" => {
-                parsed.scenario = match args.next().expect("--scenario needs a value").as_str() {
+                parsed.scenario = match value()?.as_str() {
                     "clean" => ScenarioKind::Clean,
                     "rail-flap" => ScenarioKind::RailFlap,
                     "two-job" => ScenarioKind::TwoJob,
-                    other => panic!("--scenario must be clean, rail-flap or two-job, got {other}"),
+                    other => {
+                        return Err(format!(
+                            "--scenario must be clean, rail-flap or two-job, got {other}"
+                        ))
+                    }
                 };
             }
             "--no-memo" => parsed.memoize = false,
             "--skip-sim" => parsed.skip_sim = true,
-            other => panic!("unknown argument {other}; see the crate docs"),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
     // The rail-flap pulse is placed relative to iteration 1, so only that scenario
     // needs a second iteration; clean and two-job runs stay valid with one.
-    assert!(
-        parsed.scenario != ScenarioKind::RailFlap || parsed.iterations >= 2,
-        "--scenario rail-flap places its pulse relative to iteration 1; run at least 2 iterations"
-    );
-    parsed
+    if parsed.scenario == ScenarioKind::RailFlap && parsed.iterations < 2 {
+        return Err(
+            "--scenario rail-flap places its pulse relative to iteration 1; run at least 2 \
+             iterations"
+                .to_string(),
+        );
+    }
+    if parsed.scenario == ScenarioKind::TwoJob {
+        if let Some(n) = parsed.gpus.iter().find(|n| !n.is_multiple_of(128)) {
+            return Err(format!(
+                "--scenario two-job packs two half-size jobs; every --gpus entry must be a \
+                 multiple of 128, got {n}"
+            ));
+        }
+    }
+    Ok(Some(parsed))
 }
 
 fn tech_table() {
@@ -256,9 +262,6 @@ fn rows_of(
     num_gpus: u32,
     num_rails: u32,
     scenario: &'static str,
-    event_shards: usize,
-    parallel_threads: u32,
-    commit_threads: u32,
     policy: &'static str,
     dag_tasks: usize,
     iterations: u32,
@@ -275,9 +278,6 @@ fn rows_of(
             scenario,
             job: job.job.0,
             num_jobs: result.jobs.len() as u32,
-            event_shards,
-            parallel_threads,
-            commit_threads,
             policy,
             dag_tasks,
             iterations,
@@ -303,8 +303,6 @@ fn rows_of(
 fn run_scale_point(
     num_gpus: u32,
     iterations: u32,
-    parallel_threads: u32,
-    commit_threads: u32,
     policy: PolicyFilter,
     scenario: ScenarioKind,
     memoize: bool,
@@ -317,14 +315,7 @@ fn run_scale_point(
     let cluster = scaled_cluster(num_gpus);
     let num_rails = cluster.num_rails();
     let job_gpus = match scenario {
-        ScenarioKind::TwoJob => {
-            assert!(
-                num_gpus.is_multiple_of(128),
-                "--scenario two-job packs two half-size jobs; the GPU count must be a \
-                 positive multiple of 128, got {num_gpus}"
-            );
-            num_gpus / 2
-        }
+        ScenarioKind::TwoJob => num_gpus / 2,
         _ => num_gpus,
     };
     let build_start = Instant::now();
@@ -337,12 +328,6 @@ fn run_scale_point(
     );
 
     let mut provisioned = scale_run_config(iterations);
-    if parallel_threads > 1 {
-        provisioned.parallel_threads = Some(parallel_threads);
-    }
-    if commit_threads > 1 {
-        provisioned.commit_threads = Some(commit_threads);
-    }
     if !memoize {
         provisioned.memoize_steady_state = false;
     }
@@ -390,9 +375,6 @@ fn run_scale_point(
                     num_gpus,
                     num_rails,
                     "clean",
-                    num_rails as usize,
-                    parallel_threads,
-                    commit_threads,
                     policy_name,
                     dag_tasks,
                     iterations,
@@ -424,9 +406,6 @@ fn run_scale_point(
                     num_gpus,
                     num_rails,
                     "clean",
-                    num_rails as usize,
-                    parallel_threads,
-                    commit_threads,
                     policy_name,
                     dag_tasks,
                     iterations,
@@ -437,9 +416,6 @@ fn run_scale_point(
                     num_gpus,
                     num_rails,
                     "rail-flap",
-                    num_rails as usize,
-                    parallel_threads,
-                    commit_threads,
                     policy_name,
                     dag_tasks,
                     iterations,
@@ -464,9 +440,6 @@ fn run_scale_point(
                     num_gpus,
                     num_rails,
                     "two-job",
-                    num_rails as usize,
-                    parallel_threads,
-                    commit_threads,
                     policy_name,
                     dag_tasks,
                     iterations,
@@ -486,22 +459,31 @@ fn run_scale_point(
     runs
 }
 
-fn main() {
-    let args = parse_args();
+fn main() -> ExitCode {
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(reason) => {
+            eprintln!("table3_scalability: {reason}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     tech_table();
     if args.skip_sim {
-        return;
+        return ExitCode::SUCCESS;
     }
 
     let mut report = Report::new(
-        "Table 3 (simulated) — sharded-engine scalability runs",
+        "Table 3 (simulated) — event-engine scalability runs",
         &[
             "# GPUs",
             "Scenario",
             "Job",
             "Policy",
             "DAG tasks",
-            "Thr p/c",
             "Iter time (s)",
             "Reconfigs",
             "Circ wait (s)",
@@ -513,22 +495,13 @@ fn main() {
     );
     let mut all_runs = Vec::new();
     for &n in &args.gpus {
-        for run in run_scale_point(
-            n,
-            args.iterations,
-            args.parallel_threads,
-            args.commit_threads,
-            args.policy,
-            args.scenario,
-            args.memoize,
-        ) {
+        for run in run_scale_point(n, args.iterations, args.policy, args.scenario, args.memoize) {
             report.row(&[
                 run.num_gpus.to_string(),
                 run.scenario.to_string(),
                 run.job.to_string(),
                 run.policy.to_string(),
                 run.dag_tasks.to_string(),
-                format!("{}/{}", run.parallel_threads, run.commit_threads),
                 format!("{:.3}", run.steady_iteration_time_s),
                 run.total_reconfigs.to_string(),
                 format!("{:.3}", run.circuit_wait_s),
@@ -542,7 +515,7 @@ fn main() {
         }
     }
     report.note("DGX H200 nodes, TP=8 / PP=8 / FSDP over the rest, 8 micro-batches, 1F1B");
-    report.note("full paper regime: --gpus 1024,4096,10240; 100k ceiling: --gpus 102400; 1M regime: --gpus 1024000 --policy optical --commit-threads 4 (manual; see EXPERIMENTS.md)");
+    report.note("full paper regime: --gpus 1024,4096,10240; 100k ceiling: --gpus 102400; 1M regime: --gpus 1024000 --policy optical (manual; see EXPERIMENTS.md)");
     report.note("scenarios: clean | rail-flap (RailDown pulse in iteration 1, clean reference emitted too) | two-job (two half-size jobs on shared rails)");
     let policies_note = match args.policy {
         PolicyFilter::Electrical => "the electrical run",
@@ -557,4 +530,5 @@ fn main() {
     println!();
     report.print();
     Report::write_json("table3_scale", &all_runs);
+    ExitCode::SUCCESS
 }

@@ -11,8 +11,8 @@
 //!   (rails whose circuits were lost to a failure) onto the surviving healthy rails,
 //!   so a group's parallel rings collapse onto fewer rails without ambiguity. The
 //!   assignment depends only on the sorted healthy-rail set and the order in which
-//!   displaced rails are submitted, so every shard/thread/worker arrangement of the
-//!   simulator derives the same degraded plan.
+//!   displaced rails are submitted, so every run of the simulator (and every fleet
+//!   worker) derives the same degraded plan.
 //! * [`degraded_params`] — the α–β cost adjustment for a collective squeezed onto
 //!   fewer parallel rails: the per-step latency α is unchanged (a ring step is a ring
 //!   step), but the aggregate bandwidth scales by `degraded_rails / natural_rails`
@@ -32,7 +32,7 @@ use railsim_topology::RailId;
 /// out healthy rails in cyclic order, one per call. Submitting displaced rails in a
 /// deterministic order (e.g. ascending, the iteration order of a
 /// `BTreeMap<RailId, _>` plan) therefore yields a deterministic re-striping no matter
-/// how the surrounding simulation is sharded or threaded.
+/// which fleet worker runs the surrounding simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RailStriper {
     healthy: Vec<RailId>,

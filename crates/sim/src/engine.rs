@@ -53,7 +53,7 @@ impl<E> Engine<E> {
     ///
     /// Release builds clamp instead of panicking so the simulation makes progress, but
     /// a non-zero count means the caller's event logic violated causality; correctness
-    /// guards (the sharded merge, the determinism suite) assert this stays zero.
+    /// guards (the scenario executor, the determinism suite) assert this stays zero.
     pub fn clamped_events(&self) -> u64 {
         self.clamped
     }

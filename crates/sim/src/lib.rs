@@ -6,11 +6,8 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
 //! * [`units`] — byte counts and bandwidths with explicit unit conversions,
 //! * [`EventQueue`] — a deterministic priority queue of timestamped events,
-//! * [`Engine`] — a minimal discrete-event simulation driver,
-//! * [`ShardedEngine`] — the same driver with one event lane per shard (rail) and a
-//!   deterministic cross-shard merge, for 1k–10k GPU clusters,
-//! * [`scoped_run`] — scoped fork–join evaluation with results in task order, the
-//!   primitive behind both the parallel prep and the sharded commit phases,
+//! * [`Engine`] — a minimal discrete-event simulation driver, the one event queue
+//!   every simulation in the workspace runs on,
 //! * [`SimRng`] — a seedable, reproducible random-number generator,
 //! * [`stats`] — summary statistics, histograms and empirical CDFs used by the
 //!   experiment harness.
@@ -19,7 +16,9 @@
 //! are CPU-bound and must be bit-for-bit reproducible across runs, so a binary-heap
 //! event queue with a `(time, sequence)` total order is both simpler and stricter than
 //! task-based concurrency. (This mirrors the "simplicity and robustness over tricks"
-//! philosophy of event-driven network stacks such as smoltcp.)
+//! philosophy of event-driven network stacks such as smoltcp.) Each simulation runs
+//! sequentially on one heap; callers that want parallelism run independent
+//! simulations side by side instead.
 //!
 //! ## Quick example
 //!
@@ -45,18 +44,14 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod parallel;
 pub mod queue;
 pub mod rng;
-pub mod sharded;
 pub mod stats;
 pub mod time;
 pub mod units;
 
 pub use engine::Engine;
-pub use parallel::scoped_run;
 pub use queue::{EventQueue, Scheduled};
 pub use rng::SimRng;
-pub use sharded::{ShardId, ShardedEngine};
 pub use time::{SimDuration, SimTime};
 pub use units::{Bandwidth, Bytes};

@@ -198,9 +198,9 @@ pub struct Ocs {
     circuits_set_up: u64,
     /// Bumped by every mutation that changes the matching (install with new circuits,
     /// tear-down, clear). Two equal reads bracket a span with unchanged circuit
-    /// state, so pre-evaluated connectivity/ready-time answers can be revalidated
-    /// without re-walking anything. Living on the switch itself (not a caller) makes
-    /// the guarantee structural: *no* mutation path can bypass it.
+    /// state, which is how tests witness that a query did not mutate the switch.
+    /// Living on the switch itself (not a caller) makes the guarantee structural:
+    /// *no* mutation path can bypass it.
     epoch: u64,
     /// Install-time scratch: sorted dense indices of the requested new ports. Kept on
     /// the switch so the hot path never allocates.
@@ -427,9 +427,8 @@ impl Ocs {
 
     /// The time at which every circuit of `config` is ready, or `None` when any of
     /// them is not installed. The O(config) read half of a no-op
-    /// [`Ocs::install`] — callers that pre-evaluate reconfiguration requests (the
-    /// Opus simulator's parallel prep phase) use it to answer "would this request be
-    /// free, and when would it be ready?" without touching switch state.
+    /// [`Ocs::install`] — the Opus controller uses it to answer "would this request
+    /// be free, and when would it be ready?" without touching switch state.
     pub fn installed_ready(&self, config: &CircuitConfig) -> Option<SimTime> {
         let mut ready = SimTime::ZERO;
         for c in config.circuits() {

@@ -1,6 +1,6 @@
 //! Determinism smoke test: the discrete-event engine must be bit-for-bit reproducible
 //! for a fixed RNG seed. This guards the engine's `(time, sequence)` total order and
-//! the `SimRng` stream layout against future parallelization or refactoring work — if
+//! the `SimRng` stream layout against future refactoring work — if
 //! two identically-seeded runs ever diverge in *any* recorded metric, this fails on
 //! the full serialized result, not just on a summary statistic.
 
@@ -8,24 +8,17 @@
 
 use photonic_rails::prelude::*;
 
-fn serialized_run_threads(jitter_seed: u64, latency_ms: u64, threads: u32) -> String {
+fn serialized_run(jitter_seed: u64, latency_ms: u64) -> String {
     let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4).build();
     let model = ModelConfig::tiny_test();
     let parallel = ParallelismConfig::paper_llama3_8b();
     let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
     let dag = DagBuilder::new(model, parallel, compute).build();
-    let mut config = OpusConfig::provisioned(SimDuration::from_millis(latency_ms))
+    let config = OpusConfig::provisioned(SimDuration::from_millis(latency_ms))
         .with_iterations(3)
         .with_jitter(0.05, jitter_seed);
-    if threads > 1 {
-        config = config.with_parallel_threads(threads);
-    }
     let result = OpusSimulator::new(cluster, dag, config).run();
     serde_json::to_string_pretty(&result).expect("simulation results serialize")
-}
-
-fn serialized_run(jitter_seed: u64, latency_ms: u64) -> String {
-    serialized_run_threads(jitter_seed, latency_ms, 1)
 }
 
 #[test]
@@ -62,15 +55,27 @@ fn determinism_holds_across_policies() {
 
 #[test]
 fn parallel_stepping_is_byte_identical_across_thread_counts() {
-    // `pop_batch_parallel` commits in global (time, seq) order, so the serialized
-    // metrics of a run must not depend on how many worker threads evaluated the pure
-    // per-event work — 1, 2 and 8 threads must all match the sequential pop loop.
+    // The simulator steps one sequential `(time, seq)` queue; the only parallelism left
+    // is running independent simulations side by side (as `FleetService` does). A run
+    // must therefore not depend on which thread steps it or on how many others are
+    // stepping concurrently: 1, 2 and 8 concurrent runs must all match the run made on
+    // the test's own thread.
     let sequential = serialized_run(42, 25);
-    for threads in [1u32, 2, 8] {
-        let parallel = serialized_run_threads(42, 25, threads);
-        assert_eq!(
-            sequential, parallel,
-            "parallel stepping with {threads} threads diverged from sequential"
-        );
+    for threads in [1usize, 2, 8] {
+        let runs: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| scope.spawn(|| serialized_run(42, 25)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("simulation thread panicked"))
+                .collect()
+        });
+        for (idx, run) in runs.iter().enumerate() {
+            assert_eq!(
+                &sequential, run,
+                "run {idx} of {threads} concurrent runs diverged from the sequential run"
+            );
+        }
     }
 }

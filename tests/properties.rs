@@ -280,25 +280,19 @@ proptest! {
     // ---- scenario driver ----------------------------------------------------------
 
     #[test]
-    fn injected_timelines_are_byte_identical_across_shards_and_threads(
+    fn injected_timelines_are_byte_identical_across_runs(
         pulses in proptest::collection::vec((0u64..400, 1u64..200, 0u32..4), 0..3),
         degrade in (0u64..400, 0u32..5, 0u64..100),
         arrival_ms in 0u64..300,
         seed in 0u64..1000,
-        shards in 1u32..65,
-        threads in 1u32..9,
-        commits in 1u32..9,
         replan in 0u32..2,
     ) {
         // Any timeline of rail-down/up pulses, OCS degradation and a late job
         // arrival, over a two-job scenario on shared rails, must serialize
-        // byte-identically for every engine lane count, prep-worker count and
-        // commit-thread count — the same contract the single-job determinism suite
-        // pins, extended to the scenario driver's external event class. Half the
-        // cases flip the jobs to `RecoveryPolicy::Replan`, so degraded-plan swaps
-        // (and swap-backs) — commit barriers that re-classify rail traffic
-        // mid-batch — interleave with the rail flaps while the sharded commit
-        // phase runs.
+        // byte-identically every time it runs — the same contract the single-job
+        // determinism suite pins, extended to the scenario driver's external event
+        // class. Half the cases flip the jobs to `RecoveryPolicy::Replan`, so
+        // degraded-plan swaps (and swap-backs) interleave with the rail flaps.
         let build = |config: OpusConfig| {
             let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 8).build();
             let model = ModelConfig::tiny_test();
@@ -342,33 +336,21 @@ proptest! {
         if replan == 1 {
             base.recovery_policy = RecoveryPolicy::Replan;
         }
-        let reference = build(base);
-        let mut alt = base.with_event_shards(shards).with_parallel_threads(threads);
-        alt.commit_threads = Some(commits);
-        let variant = build(alt);
-        prop_assert_eq!(
-            reference, variant,
-            "scenario diverged at {} shards x {} threads x {} commit threads",
-            shards, threads, commits
-        );
+        prop_assert_eq!(build(base), build(base), "scenario diverged between two runs");
     }
 
     #[test]
-    fn serving_timelines_are_byte_identical_across_shards_and_threads(
+    fn serving_timelines_are_byte_identical_across_runs(
         bursts in proptest::collection::vec((0u64..200, 1u32..16), 1..5),
         grow_ms in 0u64..200,
         shrink_ms in 0u64..200,
         eviction_draw in 0u32..3,
         seed in 0u64..1000,
-        shards in 1u32..65,
-        threads in 1u32..9,
-        commits in 1u32..9,
     ) {
         // The serving event class — open-loop request bursts, elastic grow/shrink,
         // tenant-aware eviction — joins the same contract as the rail flaps above: a
         // mixed training + inference scenario on shared rails must serialize
-        // byte-identically for every engine lane count, prep-worker count and
-        // commit-thread count, under every eviction policy.
+        // byte-identically every time it runs, under every eviction policy.
         let eviction = [
             EvictionPolicy::Never,
             EvictionPolicy::LruTenant,
@@ -408,14 +390,11 @@ proptest! {
             .with_iterations(2)
             .with_jitter(0.05, seed);
         base.eviction = eviction;
-        let reference = build(base);
-        let mut alt = base.with_event_shards(shards).with_parallel_threads(threads);
-        alt.commit_threads = Some(commits);
-        let variant = build(alt);
         prop_assert_eq!(
-            reference, variant,
-            "mixed-tenancy scenario diverged at {} shards x {} threads x {} commit threads under {}",
-            shards, threads, commits, eviction.name()
+            build(base),
+            build(base),
+            "mixed-tenancy scenario diverged between two runs under {}",
+            eviction.name()
         );
     }
 
@@ -423,23 +402,17 @@ proptest! {
     fn memoized_fast_forward_is_byte_identical_to_naive(
         flap in (100u64..2_000, 50u64..1_000, 0u32..5),
         two_jobs in 0u32..2,
-        shards in 1u32..65,
-        threads in 1u32..9,
-        commits in 1u32..9,
         replan in 0u32..2,
     ) {
         // `rail == 4` doubles as "no flap" (the cluster has 4 rails).
         let two_jobs = two_jobs == 1;
         let flap = (flap.2 < 4).then_some(flap);
-        // Steady-state memoization must be invisible: for any engine lane count and
-        // worker-thread count, a clean single-job run (memo engages), a rail-flap
-        // timeline (memo invalidates and re-arms) and a two-job scenario (memo
-        // disables itself) all serialize byte-identically to the naive path. Half
-        // the cases run under `RecoveryPolicy::Replan`, so fast-forward windows must
-        // also agree with the naive path while a degraded plan is live. The naive
-        // side additionally commits on a drawn rail-sharded thread count, so memo
-        // replay, replan swaps and the parallel commit phase are pinned against
-        // each other in one stroke.
+        // Steady-state memoization must be invisible: a clean single-job run (memo
+        // engages), a rail-flap timeline (memo invalidates and re-arms) and a
+        // two-job scenario (memo disables itself) all serialize byte-identically to
+        // the naive path. Half the cases run under `RecoveryPolicy::Replan`, so
+        // fast-forward windows must also agree with the naive path while a degraded
+        // plan is live.
         let build = |config: OpusConfig| {
             let nodes = if two_jobs { 8 } else { 4 };
             let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, nodes).build();
@@ -466,20 +439,12 @@ proptest! {
         };
         let mut base = OpusConfig::provisioned(SimDuration::from_millis(5))
             .with_iterations(8)
-            .with_jitter(0.0, 1)
-            .with_event_shards(shards)
-            .with_parallel_threads(threads);
+            .with_jitter(0.0, 1);
         if replan == 1 {
             base.recovery_policy = RecoveryPolicy::Replan;
         }
-        let mut naive = base.with_memoization(false);
-        naive.commit_threads = Some(commits);
-        prop_assert_eq!(
-            build(base),
-            build(naive),
-            "memoized and naive paths diverged at {} shards x {} threads x {} commit threads",
-            shards, threads, commits
-        );
+        let naive = base.with_memoization(false);
+        prop_assert_eq!(build(base), build(naive), "memoized and naive paths diverged");
     }
 
     // ---- fleet service -------------------------------------------------------------
