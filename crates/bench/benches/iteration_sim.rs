@@ -1,8 +1,6 @@
 //! Macro-benchmark: one full training-iteration simulation under each network policy
 //! (the engine behind Fig. 8).
 
-#![allow(deprecated)] // the `with_*` chains here migrate to field style over time
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use opus::{OpusConfig, OpusSimulator};
 use railsim_bench::{paper_cluster, paper_dag};
@@ -19,7 +17,10 @@ fn bench_iteration_sim(c: &mut Criterion) {
             let mut sim = OpusSimulator::new(
                 cluster.clone(),
                 dag.clone(),
-                OpusConfig::electrical().with_iterations(1),
+                OpusConfig {
+                    iterations: 1,
+                    ..OpusConfig::electrical()
+                },
             );
             black_box(sim.run().steady_state_iteration_time())
         })
@@ -29,7 +30,10 @@ fn bench_iteration_sim(c: &mut Criterion) {
             let mut sim = OpusSimulator::new(
                 cluster.clone(),
                 dag.clone(),
-                OpusConfig::provisioned(SimDuration::from_millis(25)).with_iterations(2),
+                OpusConfig {
+                    iterations: 2,
+                    ..OpusConfig::provisioned(SimDuration::from_millis(25))
+                },
             );
             black_box(sim.run().steady_state_iteration_time())
         })

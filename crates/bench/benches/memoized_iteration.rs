@@ -4,8 +4,6 @@
 //! (byte-identity between the two paths is pinned by the determinism and compat
 //! suites; this tracks the wall-clock side of the bargain).
 
-#![allow(deprecated)] // the `with_*` chains here migrate to field style over time
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use opus::{OpusConfig, OpusSimulator};
 use railsim_bench::{paper_cluster, paper_dag};
@@ -16,9 +14,12 @@ const ITERATIONS: u32 = 16;
 fn bench_memoized_iteration(c: &mut Criterion) {
     let cluster = paper_cluster();
     let dag = paper_dag();
-    let config = OpusConfig::provisioned(SimDuration::from_millis(25))
-        .with_iterations(ITERATIONS)
-        .with_jitter(0.0, 1);
+    let config = OpusConfig {
+        iterations: ITERATIONS,
+        compute_jitter: 0.0,
+        seed: 1,
+        ..OpusConfig::provisioned(SimDuration::from_millis(25))
+    };
 
     let mut group = c.benchmark_group("memoized_iteration");
     group.sample_size(20);
@@ -35,8 +36,14 @@ fn bench_memoized_iteration(c: &mut Criterion) {
     });
     group.bench_function("naive_16_iters", |b| {
         b.iter(|| {
-            let mut sim =
-                OpusSimulator::new(cluster.clone(), dag.clone(), config.with_memoization(false));
+            let mut sim = OpusSimulator::new(
+                cluster.clone(),
+                dag.clone(),
+                OpusConfig {
+                    memoize_steady_state: false,
+                    ..config
+                },
+            );
             black_box(sim.run().steady_state_iteration_time())
         })
     });

@@ -1,8 +1,6 @@
 //! Micro-benchmark: extracting inter-parallelism windows (Fig. 4) from a simulated
 //! iteration's communication records.
 
-#![allow(deprecated)] // the `with_*` chains here migrate to field style over time
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use opus::{window_cdf, windows_on_rail, OpusConfig, OpusSimulator};
 use railsim_bench::{paper_cluster, paper_dag};
@@ -14,9 +12,12 @@ fn bench_window_extraction(c: &mut Criterion) {
     let mut sim = OpusSimulator::new(
         cluster,
         paper_dag(),
-        OpusConfig::electrical()
-            .with_iterations(2)
-            .with_jitter(0.05, 42),
+        OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.05,
+            seed: 42,
+            ..OpusConfig::electrical()
+        },
     );
     let result = sim.run();
     let records = &result.iterations[1].comm_records;

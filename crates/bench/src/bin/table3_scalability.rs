@@ -45,12 +45,13 @@
 //! exits 0; an unknown flag or a missing or malformed value prints the usage to
 //! stderr and exits 2.
 
-use opus::{baseline_of, OpusConfig, RecoveryPolicy, Scenario, ScenarioEvent, ScenarioResult};
+use opus::{baseline_of, OpusConfig, RecoveryPolicy, ScenarioEvent, ScenarioResult, ScenarioSpec};
 use railsim_bench::{mem, scale_run_config, scaled_cluster, scaled_dag, Report};
 use railsim_cost::ocs_tech::{ocs_technologies, scaleup};
 use railsim_topology::RailId;
 use serde::Serialize;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 const USAGE: &str = "usage: table3_scalability [--gpus N[,N...]] [--iterations N]
@@ -366,8 +367,8 @@ fn run_scale_point(
         match scenario {
             ScenarioKind::Clean => {
                 let wall = Instant::now();
-                let result = Scenario::new(cluster.clone())
-                    .job(next_dag(&mut dag), config)
+                let result = ScenarioSpec::new(cluster.clone())
+                    .job(Arc::new(next_dag(&mut dag)), config)
                     .run();
                 let wall_clock_s = wall.elapsed().as_secs_f64();
                 runs.extend(rows_of(
@@ -387,16 +388,16 @@ fn run_scale_point(
                 // iteration 1, half an iteration long) and lands in the JSON so the
                 // inflation is computable from the artifact alone.
                 let wall = Instant::now();
-                let clean = Scenario::new(cluster.clone())
-                    .job(next_dag(&mut dag), config)
+                let clean = ScenarioSpec::new(cluster.clone())
+                    .job(Arc::new(next_dag(&mut dag)), config)
                     .run();
                 let clean_wall = wall.elapsed().as_secs_f64();
                 let it1 = &clean.jobs[0].result.iterations[1];
                 let down = it1.started_at + it1.iteration_time.mul_f64(0.25);
                 let up = down + it1.iteration_time.mul_f64(0.5);
                 let wall = Instant::now();
-                let flapped = Scenario::new(cluster.clone())
-                    .job(next_dag(&mut dag), config)
+                let flapped = ScenarioSpec::new(cluster.clone())
+                    .job(Arc::new(next_dag(&mut dag)), config)
                     .inject(down, ScenarioEvent::RailDown(RailId(0)))
                     .inject(up, ScenarioEvent::RailUp(RailId(0)))
                     .run();
@@ -430,9 +431,9 @@ fn run_scale_point(
                 let wall = Instant::now();
                 let job_a = next_dag(&mut dag);
                 let job_b = next_dag(&mut dag);
-                let result = Scenario::new(cluster.clone())
-                    .job(job_a, config)
-                    .job(job_b, config)
+                let result = ScenarioSpec::new(cluster.clone())
+                    .job(Arc::new(job_a), config)
+                    .job(Arc::new(job_b), config)
                     .run();
                 let wall_clock_s = wall.elapsed().as_secs_f64();
                 runs.extend(rows_of(

@@ -138,11 +138,20 @@ impl EvictionPolicy {
 ///
 /// All fields are public: start from a policy constructor ([`OpusConfig::electrical`],
 /// [`OpusConfig::on_demand`], [`OpusConfig::provisioned`]) or [`OpusConfig::default`]
-/// and set fields directly. The struct is `#[non_exhaustive]`, so downstream code
-/// cannot build it with a literal — future knobs can then be added without a breaking
-/// change (every constructor picks a conservative default for them).
+/// and override fields with struct-update syntax:
+///
+/// ```
+/// use opus::OpusConfig;
+/// use railsim_sim::SimDuration;
+///
+/// let config = OpusConfig {
+///     iterations: 3,
+///     compute_jitter: 0.0,
+///     ..OpusConfig::provisioned(SimDuration::from_millis(25))
+/// };
+/// assert!(config.jitter_inert());
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
 pub struct OpusConfig {
     /// The control policy (electrical baseline, on-demand, or provisioned optical).
     pub policy: ReconfigPolicy,
@@ -243,43 +252,6 @@ impl OpusConfig {
         }
     }
 
-    /// Enables offloading of small collectives to the host network (§5).
-    #[deprecated(since = "0.1.0", note = "set `host_offload = Some(offload)` directly")]
-    pub fn with_host_offload(mut self, offload: HostOffload) -> Self {
-        self.host_offload = Some(offload);
-        self
-    }
-
-    /// Overrides the number of iterations.
-    #[deprecated(since = "0.1.0", note = "set the `iterations` field directly")]
-    pub fn with_iterations(mut self, iterations: u32) -> Self {
-        assert!(iterations > 0, "must simulate at least one iteration");
-        self.iterations = iterations;
-        self
-    }
-
-    /// Overrides the jitter amplitude and seed.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set the `compute_jitter` and `seed` fields directly"
-    )]
-    pub fn with_jitter(mut self, amplitude: f64, seed: u64) -> Self {
-        self.compute_jitter = amplitude;
-        self.seed = seed;
-        self
-    }
-
-    /// Enables or disables steady-state iteration memoization (enabled by default;
-    /// see [`OpusConfig::memoize_steady_state`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "set the `memoize_steady_state` field directly"
-    )]
-    pub fn with_memoization(mut self, enabled: bool) -> Self {
-        self.memoize_steady_state = enabled;
-        self
-    }
-
     /// True when provisioning is active for the given iteration index (the first
     /// iteration always profiles).
     pub fn provisioning_active(&self, iteration: u32) -> bool {
@@ -303,8 +275,6 @@ pub const EPOCH: SimTime = SimTime::ZERO;
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the wrappers stay under test until they are removed
-
     use super::*;
 
     #[test]
@@ -345,26 +315,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one iteration")]
-    fn zero_iterations_rejected() {
-        let _ = OpusConfig::electrical().with_iterations(0);
-    }
-
-    #[test]
     fn memoization_defaults_on_and_can_be_disabled() {
         let base = OpusConfig::provisioned(SimDuration::from_millis(25));
         assert!(base.memoize_steady_state);
-        assert!(!base.with_memoization(false).memoize_steady_state);
+        let naive = OpusConfig {
+            memoize_steady_state: false,
+            ..base
+        };
+        assert!(!naive.memoize_steady_state);
     }
 
     #[test]
     fn jitter_inertness_mirrors_the_rng_clamp() {
         let base = OpusConfig::electrical();
         assert!(!base.jitter_inert(), "the default jitter amplitude draws");
-        assert!(base.with_jitter(0.0, 1).jitter_inert());
+        let with_amplitude = |compute_jitter| OpusConfig {
+            compute_jitter,
+            ..base
+        };
+        assert!(with_amplitude(0.0).jitter_inert());
         // Negative amplitudes clamp to zero exactly like SimRng::jitter does.
-        assert!(base.with_jitter(-0.5, 1).jitter_inert());
-        assert!(!base.with_jitter(f64::NAN, 1).jitter_inert());
+        assert!(with_amplitude(-0.5).jitter_inert());
+        assert!(!with_amplitude(f64::NAN).jitter_inert());
     }
 
     #[test]
@@ -398,7 +370,10 @@ mod tests {
     fn host_offload_is_opt_in() {
         let base = OpusConfig::provisioned(SimDuration::from_millis(25));
         assert!(base.host_offload.is_none());
-        let with = base.with_host_offload(HostOffload::frontend_100g());
+        let with = OpusConfig {
+            host_offload: Some(HostOffload::frontend_100g()),
+            ..base
+        };
         assert_eq!(with.host_offload.unwrap().threshold, Bytes::from_mb(1));
         assert!(with.host_offload.unwrap().bandwidth.as_gbps() < 400.0);
     }

@@ -118,11 +118,6 @@ impl OpusController {
         }
     }
 
-    /// The active contention policy.
-    pub fn eviction_policy(&self) -> EvictionPolicy {
-        self.eviction
-    }
-
     /// True when tenant-aware arbitration is active (an evicting policy was set).
     pub fn tenancy_active(&self) -> bool {
         self.eviction.can_evict()

@@ -64,14 +64,6 @@ impl GroupTable {
         self.entries.binary_search_by_key(&id, |e| e.group.id).ok()
     }
 
-    /// The entry at a dense slot.
-    ///
-    /// # Panics
-    /// Panics if `slot >= len()`.
-    pub fn entry_at(&self, slot: usize) -> &GroupEntry {
-        &self.entries[slot]
-    }
-
     /// Looks up a group's entry.
     pub fn entry(&self, id: GroupId) -> Option<&GroupEntry> {
         self.slot_of(id).map(|slot| &self.entries[slot])

@@ -19,22 +19,26 @@
 //! * [`OpusController`] — receives (possibly speculative) reconfiguration requests,
 //!   avoids conflicts with ongoing traffic (FC-FS over the job's sequentially ordered
 //!   demands), programs the per-rail OCSes and acknowledges when circuits settle.
-//! * [`Scenario`] — the simulation entry point: places one or more jobs on a shared
-//!   cluster, injects external events (rail failures/recoveries, OCS degradation,
-//!   late job arrivals) and reports per-job metrics plus fleet-level rail counters.
-//! * [`OpusSimulator`] — the single-job wrapper over [`Scenario`]: executes one
-//!   [`railsim_workload::TrainingDag`] over a cluster under the electrical baseline,
-//!   on-demand optical, or provisioned optical policy, producing the timings behind
-//!   Fig. 3, Fig. 4 and Fig. 8.
+//! * [`ScenarioSpec`] — the simulation entry point: describes one or more jobs on a
+//!   shared cluster plus an injected event timeline (rail failures/recoveries, OCS
+//!   degradation, late job arrivals, request bursts); [`ScenarioSpec::run`] reports
+//!   per-job metrics plus fleet-level rail counters.
+//! * [`OpusSimulator`] — a one-job [`ScenarioSpec`] with accessors for the shim, the
+//!   controller and the memo: executes one [`railsim_workload::TrainingDag`] over a
+//!   cluster under the electrical baseline, on-demand optical, or provisioned optical
+//!   policy, producing the timings behind Fig. 3, Fig. 4 and Fig. 8.
+//! * [`OpusConfig`] — the one configuration surface of a job: public fields, set
+//!   with struct-update syntax on top of a policy constructor.
 //! * [`window`] — the inter-parallelism window analysis of §3.1 / Fig. 4.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use opus::{OpusConfig, Scenario};
+//! use opus::{OpusConfig, ScenarioSpec};
 //! use railsim_sim::SimDuration;
 //! use railsim_topology::{ClusterSpec, NodePreset};
 //! use railsim_workload::{ComputeModel, DagBuilder, GpuSpec, ModelConfig, ParallelismConfig};
+//! use std::sync::Arc;
 //!
 //! // The paper's §3.1 workload: Llama3-8B, TP=4, FSDP=2, PP=2 on 4 Perlmutter nodes.
 //! let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4).build();
@@ -46,9 +50,11 @@
 //! // Photonic rails with a 25 ms piezo OCS and provisioning, 2 iterations, driven
 //! // through the scenario entry point (see [`scenario`] for fault injection and
 //! // multi-job placement).
-//! let mut config = OpusConfig::provisioned(SimDuration::from_millis(25));
-//! config.iterations = 2;
-//! let result = Scenario::new(cluster).job(dag, config).run();
+//! let config = OpusConfig {
+//!     iterations: 2,
+//!     ..OpusConfig::provisioned(SimDuration::from_millis(25))
+//! };
+//! let result = ScenarioSpec::new(cluster).job(Arc::new(dag), config).run();
 //! assert!(
 //!     result.jobs[0].result.steady_state_iteration_time() > SimDuration::ZERO
 //! );
@@ -79,12 +85,11 @@ pub use fleet::{
 pub use group_table::{GroupEntry, GroupTable};
 pub use metrics::{CommRecord, IterationResult, ReconfigEvent, SimulationResult};
 pub use scenario::{
-    FleetMetrics, JobPlacement, JobResult, JobSpec, Scenario, ScenarioEvent, ScenarioResult,
-    ScenarioSpec,
+    FleetMetrics, JobPlacement, JobResult, JobSpec, ScenarioEvent, ScenarioResult, ScenarioSpec,
 };
 pub use serving::{ArrivalProcess, ServingSpec};
 pub use shim::{OpusShim, ShimProfile};
-pub use simulation::{baseline_of, run_policies, OpusSimulator};
+pub use simulation::{baseline_of, OpusSimulator};
 pub use window::{
     default_traffic_buckets_mb, phases_by_rail, phases_on_rail, window_cdf,
     windows_by_following_traffic, windows_of_iterations, windows_on_rail, Phase, Window,

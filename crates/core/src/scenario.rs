@@ -1,16 +1,18 @@
 //! The scenario driver: multi-job, fault-injecting simulations.
 //!
-//! [`Scenario`] is the redesigned entry point of the simulator. Where
-//! [`OpusSimulator`](crate::OpusSimulator) runs *one* pristine job to completion, a
-//! scenario places any number of jobs on one shared cluster, injects external events
-//! (rail failures and recoveries, OCS degradation, late job arrivals) at scheduled
-//! times, and reports per-job metrics plus fleet-level rail counters:
+//! A [`ScenarioSpec`] describes a simulation as plain data and [`ScenarioSpec::run`]
+//! executes it: any number of jobs placed on one shared cluster, external events
+//! (rail failures and recoveries, OCS degradation, late job arrivals, inference
+//! request bursts) injected at scheduled times, and per-job metrics plus fleet-level
+//! rail counters in the [`ScenarioResult`]. [`OpusSimulator`](crate::OpusSimulator)
+//! is the same driver with exactly one job and a clean timeline:
 //!
 //! ```
-//! use opus::{OpusConfig, Scenario, ScenarioEvent};
+//! use opus::{OpusConfig, ScenarioEvent, ScenarioSpec};
 //! use railsim_sim::{SimDuration, SimTime};
 //! use railsim_topology::{ClusterSpec, NodePreset, RailId};
 //! use railsim_workload::{ComputeModel, DagBuilder, GpuSpec, ModelConfig, ParallelismConfig};
+//! use std::sync::Arc;
 //!
 //! let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4).build();
 //! let model = ModelConfig::tiny_test();
@@ -18,10 +20,12 @@
 //! let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
 //! let dag = DagBuilder::new(model, parallel, compute).build();
 //!
-//! let mut config = OpusConfig::provisioned(SimDuration::from_millis(25));
-//! config.iterations = 2;
-//! let result = Scenario::new(cluster)
-//!     .job(dag, config)
+//! let config = OpusConfig {
+//!     iterations: 2,
+//!     ..OpusConfig::provisioned(SimDuration::from_millis(25))
+//! };
+//! let result = ScenarioSpec::new(cluster)
+//!     .job(Arc::new(dag), config)
 //!     .inject(SimTime::from_millis(5), ScenarioEvent::RailDown(RailId(0)))
 //!     .inject(SimTime::from_millis(80), ScenarioEvent::RailUp(RailId(0)))
 //!     .run();
@@ -183,11 +187,14 @@ pub struct JobSpec {
 /// A scenario described as plain data: the shared cluster, the job declarations and
 /// the injected external-event timeline.
 ///
-/// This is the declarative core both [`Scenario`] (the classic builder, now a thin
-/// shim over a spec) and the fleet sweep expansion (`opus::fleet`) produce; the
-/// executor consumes it via [`ScenarioSpec::run`]. Every field is public — a spec can
-/// be assembled directly, inspected, cloned cheaply (jobs share their DAGs via
-/// [`Arc`]) and re-run without touching imperative setup calls.
+/// This is the one way to describe a scenario: the builder methods below, the fleet
+/// sweep expansion (`opus::fleet`) and hand assembly all produce it, and
+/// [`ScenarioSpec::run`] executes it. Every field is public — a spec can be assembled
+/// directly, inspected, cloned cheaply (jobs share their DAGs via [`Arc`]) and re-run
+/// without touching imperative setup calls. Jobs are identified by [`JobId`] in
+/// declaration order; injections may be declared in any order (they are sorted by
+/// time, declaration order breaking ties). See the [module docs](self) for the
+/// execution model.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
     /// The shared cluster every job is placed on.
@@ -278,108 +285,6 @@ impl ScenarioSpec {
         let mut sim = ScenarioSim::build(self);
         sim.run_scenario();
         sim.into_result()
-    }
-}
-
-/// Builder for a multi-job, fault-injecting simulation on one shared cluster.
-///
-/// See the [module docs](self) for the execution model. Jobs are identified by
-/// [`JobId`] in declaration order; injections may be declared in any order (they are
-/// sorted by time, declaration order breaking ties).
-///
-/// `Scenario` is a thin shim over [`ScenarioSpec`]: each builder call appends to the
-/// spec, and [`Scenario::run`] is exactly `self.into_spec().run()` (the compat suite
-/// pins the two paths byte-identical). Code that wants the declarative form — or
-/// wants to share one DAG template across many scenarios — can work with
-/// [`ScenarioSpec`] directly.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    spec: ScenarioSpec,
-}
-
-impl Scenario {
-    /// Starts a scenario on `cluster`.
-    pub fn new(cluster: Cluster) -> Self {
-        Scenario {
-            spec: ScenarioSpec::new(cluster),
-        }
-    }
-
-    /// Wraps an assembled spec in the builder.
-    pub fn from_spec(spec: ScenarioSpec) -> Self {
-        Scenario { spec }
-    }
-
-    /// The underlying declarative spec.
-    pub fn spec(&self) -> &ScenarioSpec {
-        &self.spec
-    }
-
-    /// Unwraps the builder into its declarative spec.
-    pub fn into_spec(self) -> ScenarioSpec {
-        self.spec
-    }
-
-    /// Adds a job with automatic placement (packed after the previous job, node
-    /// aligned). Returns the builder; the job's id is [`JobId`] of its declaration
-    /// index.
-    pub fn job(self, dag: TrainingDag, config: OpusConfig) -> Self {
-        self.job_placed(dag, config, JobPlacement::Auto)
-    }
-
-    /// Adds a job sharing an existing DAG template (no clone) with automatic
-    /// placement.
-    pub fn job_shared(mut self, dag: Arc<TrainingDag>, config: OpusConfig) -> Self {
-        self.spec = self.spec.job(dag, config);
-        self
-    }
-
-    /// Adds a job with an explicit placement.
-    pub fn job_placed(mut self, dag: TrainingDag, config: OpusConfig, at: JobPlacement) -> Self {
-        self.spec = self.spec.job_placed(Arc::new(dag), config, at);
-        self
-    }
-
-    /// Adds a *serving* job — an elastic inference deployment. See
-    /// [`ScenarioSpec::serving_job`].
-    pub fn serving_job(
-        mut self,
-        dag: TrainingDag,
-        config: OpusConfig,
-        at: JobPlacement,
-        serving: ServingSpec,
-    ) -> Self {
-        self.spec = self.spec.serving_job(Arc::new(dag), config, at, serving);
-        self
-    }
-
-    /// Injects an external event at the given absolute time.
-    pub fn inject(mut self, at: SimTime, event: ScenarioEvent) -> Self {
-        self.spec = self.spec.inject(at, event);
-        self
-    }
-
-    /// Injects a whole pre-generated timeline (e.g. the output of
-    /// [`crate::serving::ArrivalProcess::bursts`]).
-    pub fn inject_all(
-        mut self,
-        events: impl IntoIterator<Item = (SimTime, ScenarioEvent)>,
-    ) -> Self {
-        self.spec = self.spec.inject_all(events);
-        self
-    }
-
-    /// Number of jobs declared so far.
-    pub fn num_jobs(&self) -> usize {
-        self.spec.jobs.len()
-    }
-
-    /// Builds and runs the scenario to completion.
-    ///
-    /// # Panics
-    /// Panics when the scenario is malformed; see [`ScenarioSpec::run`].
-    pub fn run(self) -> ScenarioResult {
-        self.spec.run()
     }
 }
 
@@ -603,16 +508,15 @@ struct JobContext {
     /// participants, indexed by [`TaskId`]. The full `TrainingDag` — dependency
     /// edges, comm groups, parallelism config — is consumed at build time: edges
     /// become the CSR `dependents` table plus `dep_counts`, groups become the
-    /// `group_table`/`circuit_pool`, and the row-major task arena (three heap words
-    /// per task for `deps` alone) is dropped. At the million-GPU regime this is the
-    /// difference between the run fitting its memory budget and carrying ~90M dead
-    /// `Vec<TaskId>` headers to the finish line.
+    /// `circuit_pool` (through a build-time [`GroupTable`]), and the row-major task
+    /// arena (three heap words per task for `deps` alone) is dropped. At the
+    /// million-GPU regime this is the difference between the run fitting its memory
+    /// budget and carrying ~90M dead `Vec<TaskId>` headers to the finish line.
     tasks: TaskTable,
     /// Per-task dependency indegree — the template `remaining` resets from at every
     /// iteration start (tasks with count 0 are the iteration's roots).
     dep_counts: Vec<u32>,
     config: OpusConfig,
-    group_table: GroupTable,
     /// Deduplicated circuit demands; see [`CircuitSlot`].
     circuit_pool: Vec<CircuitSlot>,
     /// Per-task index into `circuit_pool` (`NO_SLOT` for compute tasks).
@@ -1130,7 +1034,6 @@ impl ScenarioSim {
             tasks,
             dep_counts,
             config,
-            group_table,
             circuit_pool,
             task_circuit_slot,
             dependents_off,
@@ -1281,11 +1184,6 @@ impl ScenarioSim {
             task_slot[task.id.0 as usize] = slot;
         }
         (pool, task_slot)
-    }
-
-    /// One job's group table.
-    pub(crate) fn job_group_table(&self, job: usize) -> &GroupTable {
-        &self.jobs[job].group_table
     }
 
     /// One job's shim.
@@ -2206,8 +2104,6 @@ impl ScenarioSim {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the dense `with_*` chains migrate to field style over time
-
     use super::*;
     use railsim_topology::{ClusterSpec, NodePreset};
     use railsim_workload::{ComputeModel, DagBuilder, GpuSpec, ModelConfig, ParallelismConfig};
@@ -2224,8 +2120,8 @@ mod tests {
     }
 
     fn clean_single(config: OpusConfig) -> SimulationResult {
-        Scenario::new(tiny_cluster(4))
-            .job(tiny_dag(), config)
+        ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
             .run()
             .jobs
             .remove(0)
@@ -2234,10 +2130,15 @@ mod tests {
 
     #[test]
     fn single_job_scenario_reports_one_job_and_fleet_counters() {
-        let config = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(2)
-            .with_jitter(0.0, 1);
-        let result = Scenario::new(tiny_cluster(4)).job(tiny_dag(), config).run();
+        let config = OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::provisioned(SimDuration::from_millis(5))
+        };
+        let result = ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
+            .run();
         assert_eq!(result.jobs.len(), 1);
         assert_eq!(result.jobs[0].job, JobId(0));
         assert_eq!(result.jobs[0].gpu_offset, 0);
@@ -2262,13 +2163,16 @@ mod tests {
         // Two copies of the same job, side by side on an 8-node cluster: disjoint
         // GPUs and ports, so the shared fabric must give each job exactly the
         // iteration times of a standalone 4-node run.
-        let config = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(2)
-            .with_jitter(0.0, 1);
+        let config = OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::provisioned(SimDuration::from_millis(5))
+        };
         let standalone = clean_single(config);
-        let result = Scenario::new(tiny_cluster(8))
-            .job(tiny_dag(), config)
-            .job(tiny_dag(), config)
+        let result = ScenarioSpec::new(tiny_cluster(8))
+            .job(Arc::new(tiny_dag()), config)
+            .job(Arc::new(tiny_dag()), config)
             .run();
         assert_eq!(result.jobs.len(), 2);
         assert_eq!(result.jobs[0].gpu_offset, 0);
@@ -2296,8 +2200,8 @@ mod tests {
         );
         // Both jobs used the same rails — fleet busy time doubles.
         let busy: f64 = result.fleet.rail_busy.iter().map(|d| d.as_secs_f64()).sum();
-        let single_busy: f64 = Scenario::new(tiny_cluster(4))
-            .job(tiny_dag(), config)
+        let single_busy: f64 = ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
             .run()
             .fleet
             .rail_busy
@@ -2309,18 +2213,23 @@ mod tests {
 
     #[test]
     fn rail_flap_inflates_the_faulted_iteration_then_recovers() {
-        let config = OpusConfig::on_demand(SimDuration::from_millis(1))
-            .with_iterations(3)
-            .with_jitter(0.0, 1);
-        let clean_scenario = Scenario::new(tiny_cluster(4)).job(tiny_dag(), config).run();
+        let config = OpusConfig {
+            iterations: 3,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::on_demand(SimDuration::from_millis(1))
+        };
+        let clean_scenario = ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
+            .run();
         let clean = &clean_scenario.jobs[0].result;
         let t1 = clean.iterations[1].started_at;
         let dur = clean.iterations[1].iteration_time;
         // Fail rail 0 a quarter into iteration 1, recover it half an iteration later.
         let down = t1 + dur.mul_f64(0.25);
         let up = down + dur.mul_f64(0.5);
-        let result = Scenario::new(tiny_cluster(4))
-            .job(tiny_dag(), config)
+        let result = ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
             .inject(down, ScenarioEvent::RailDown(RailId(0)))
             .inject(up, ScenarioEvent::RailUp(RailId(0)))
             .run();
@@ -2351,16 +2260,19 @@ mod tests {
 
     #[test]
     fn electrical_jobs_wait_out_rail_outages_too() {
-        let config = OpusConfig::electrical()
-            .with_iterations(2)
-            .with_jitter(0.0, 1);
+        let config = OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::electrical()
+        };
         let clean = clean_single(config);
         let t1 = clean.iterations[1].started_at;
         let dur = clean.iterations[1].iteration_time;
         let down = t1 + dur.mul_f64(0.1);
         let up = down + dur;
-        let result = Scenario::new(tiny_cluster(4))
-            .job(tiny_dag(), config)
+        let result = ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
             .inject(down, ScenarioEvent::RailDown(RailId(0)))
             .inject(up, ScenarioEvent::RailUp(RailId(0)))
             .run();
@@ -2375,23 +2287,29 @@ mod tests {
     #[test]
     #[should_panic(expected = "no scheduled recovery")]
     fn unrecovered_rail_failure_is_a_scenario_bug() {
-        let config = OpusConfig::electrical()
-            .with_iterations(2)
-            .with_jitter(0.0, 1);
-        let _ = Scenario::new(tiny_cluster(4))
-            .job(tiny_dag(), config)
+        let config = OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::electrical()
+        };
+        let _ = ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
             .inject(SimTime::ZERO, ScenarioEvent::RailDown(RailId(0)))
             .run();
     }
 
     #[test]
     fn ocs_degradation_slows_reconfigurations() {
-        let config = OpusConfig::on_demand(SimDuration::from_millis(1))
-            .with_iterations(2)
-            .with_jitter(0.0, 1);
+        let config = OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::on_demand(SimDuration::from_millis(1))
+        };
         let clean = clean_single(config);
-        let result = Scenario::new(tiny_cluster(4))
-            .job(tiny_dag(), config)
+        let result = ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
             .inject(
                 SimTime::ZERO,
                 ScenarioEvent::OcsDegraded {
@@ -2409,13 +2327,16 @@ mod tests {
 
     #[test]
     fn job_arrival_delays_the_start() {
-        let config = OpusConfig::electrical()
-            .with_iterations(1)
-            .with_jitter(0.0, 1);
+        let config = OpusConfig {
+            iterations: 1,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::electrical()
+        };
         let at = SimTime::from_millis(250);
-        let result = Scenario::new(tiny_cluster(8))
-            .job(tiny_dag(), config)
-            .job(tiny_dag(), config)
+        let result = ScenarioSpec::new(tiny_cluster(8))
+            .job(Arc::new(tiny_dag()), config)
+            .job(Arc::new(tiny_dag()), config)
             .inject(at, ScenarioEvent::JobArrival { job: JobId(1) })
             .run();
         assert_eq!(
@@ -2434,12 +2355,15 @@ mod tests {
     fn overlapping_placements_report_port_takeovers() {
         // Two jobs time-sharing the same GPUs: every transfer alternation flips the
         // port tenant, which the fleet counters must surface.
-        let config = OpusConfig::electrical()
-            .with_iterations(1)
-            .with_jitter(0.0, 1);
-        let result = Scenario::new(tiny_cluster(4))
-            .job(tiny_dag(), config)
-            .job_placed(tiny_dag(), config, JobPlacement::AtGpu(0))
+        let config = OpusConfig {
+            iterations: 1,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::electrical()
+        };
+        let result = ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
+            .job_placed(Arc::new(tiny_dag()), config, JobPlacement::AtGpu(0))
             .run();
         assert!(result.fleet.cross_job_port_takeovers > 0);
         assert!(result.fleet.cross_job_rail_overlaps.iter().any(|&o| o > 0));
@@ -2448,12 +2372,15 @@ mod tests {
     #[test]
     fn injections_sort_into_the_timeline_in_declaration_order_on_ties() {
         // Down and up at the same instant, declared down-then-up: the rail ends up.
-        let config = OpusConfig::electrical()
-            .with_iterations(1)
-            .with_jitter(0.0, 1);
+        let config = OpusConfig {
+            iterations: 1,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::electrical()
+        };
         let t = SimTime::from_millis(1);
-        let result = Scenario::new(tiny_cluster(4))
-            .job(tiny_dag(), config)
+        let result = ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
             .inject(t, ScenarioEvent::RailDown(RailId(0)))
             .inject(t, ScenarioEvent::RailUp(RailId(0)))
             .run();
@@ -2465,8 +2392,8 @@ mod tests {
     #[should_panic(expected = "only has 4 rails")]
     fn injection_on_unknown_rail_is_rejected() {
         let config = OpusConfig::electrical();
-        let _ = Scenario::new(tiny_cluster(4))
-            .job(tiny_dag(), config)
+        let _ = ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
             .inject(SimTime::ZERO, ScenarioEvent::RailDown(RailId(9)))
             .run();
     }
@@ -2475,15 +2402,27 @@ mod tests {
     #[should_panic(expected = "cluster only has 16 GPUs")]
     fn placement_outside_the_cluster_is_rejected() {
         let config = OpusConfig::electrical();
-        let _ = Scenario::new(tiny_cluster(4))
-            .job_placed(tiny_dag(), config, JobPlacement::AtGpu(8))
+        let _ = ScenarioSpec::new(tiny_cluster(4))
+            .job_placed(Arc::new(tiny_dag()), config, JobPlacement::AtGpu(8))
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "job0 must simulate at least one iteration")]
+    fn zero_iterations_are_rejected() {
+        let config = OpusConfig {
+            iterations: 0,
+            ..OpusConfig::electrical()
+        };
+        let _ = ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
             .run();
     }
 
     /// Runs the scenario and reports job 0's fast-forward counter next to the
     /// result (the counter is observability-only and not part of the result).
-    fn run_counting_ff(scenario: Scenario) -> (ScenarioResult, u64) {
-        let mut sim = ScenarioSim::build(scenario.into_spec());
+    fn run_counting_ff(spec: ScenarioSpec) -> (ScenarioResult, u64) {
+        let mut sim = ScenarioSim::build(spec);
         sim.run_scenario();
         let ff = sim.job_memoized_iterations(0);
         (sim.into_result(), ff)
@@ -2502,11 +2441,23 @@ mod tests {
             ),
             ("electrical", OpusConfig::electrical()),
         ] {
-            let config = config.with_iterations(8).with_jitter(0.0, 1);
-            let (memo, ff) =
-                run_counting_ff(Scenario::new(tiny_cluster(4)).job(tiny_dag(), config));
-            let naive = Scenario::new(tiny_cluster(4))
-                .job(tiny_dag(), config.with_memoization(false))
+            let config = OpusConfig {
+                iterations: 8,
+                compute_jitter: 0.0,
+                seed: 1,
+                ..config
+            };
+            let (memo, ff) = run_counting_ff(
+                ScenarioSpec::new(tiny_cluster(4)).job(Arc::new(tiny_dag()), config),
+            );
+            let naive = ScenarioSpec::new(tiny_cluster(4))
+                .job(
+                    Arc::new(tiny_dag()),
+                    OpusConfig {
+                        memoize_steady_state: false,
+                        ..config
+                    },
+                )
                 .run();
             assert!(
                 ff >= 1,
@@ -2518,23 +2469,39 @@ mod tests {
 
     #[test]
     fn memoization_gates_on_the_knob_and_on_jitter() {
-        let base = OpusConfig::provisioned(SimDuration::from_millis(5)).with_iterations(6);
-        let (_, ff_off) = run_counting_ff(
-            Scenario::new(tiny_cluster(4))
-                .job(tiny_dag(), base.with_jitter(0.0, 1).with_memoization(false)),
-        );
+        let base = OpusConfig {
+            iterations: 6,
+            ..OpusConfig::provisioned(SimDuration::from_millis(5))
+        };
+        let (_, ff_off) = run_counting_ff(ScenarioSpec::new(tiny_cluster(4)).job(
+            Arc::new(tiny_dag()),
+            OpusConfig {
+                compute_jitter: 0.0,
+                seed: 1,
+                memoize_steady_state: false,
+                ..base
+            },
+        ));
         assert_eq!(ff_off, 0, "the knob must disable fast-forwarding");
-        let (_, ff_jitter) = run_counting_ff(
-            Scenario::new(tiny_cluster(4)).job(tiny_dag(), base.with_jitter(0.05, 7)),
-        );
+        let (_, ff_jitter) = run_counting_ff(ScenarioSpec::new(tiny_cluster(4)).job(
+            Arc::new(tiny_dag()),
+            OpusConfig {
+                compute_jitter: 0.05,
+                seed: 7,
+                ..base
+            },
+        ));
         assert_eq!(ff_jitter, 0, "a live jitter RNG must disable memoization");
     }
 
     #[test]
     fn rail_flap_invalidates_memoization_and_still_matches_naive() {
-        let config = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(10)
-            .with_jitter(0.0, 1);
+        let config = OpusConfig {
+            iterations: 10,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::provisioned(SimDuration::from_millis(5))
+        };
         let clean = clean_single(config);
         let t4 = clean.iterations[4].started_at;
         let dur = clean.iterations[4].iteration_time;
@@ -2543,13 +2510,17 @@ mod tests {
         let down = t4 + dur.mul_f64(0.25);
         let up = down + dur.mul_f64(0.5);
         let flapped = |config: OpusConfig| {
-            Scenario::new(tiny_cluster(4))
-                .job(tiny_dag(), config)
+            ScenarioSpec::new(tiny_cluster(4))
+                .job(Arc::new(tiny_dag()), config)
                 .inject(down, ScenarioEvent::RailDown(RailId(0)))
                 .inject(up, ScenarioEvent::RailUp(RailId(0)))
         };
         let (memo, ff) = run_counting_ff(flapped(config));
-        let naive = flapped(config.with_memoization(false)).run();
+        let naive = flapped(OpusConfig {
+            memoize_steady_state: false,
+            ..config
+        })
+        .run();
         assert_eq!(format!("{memo:?}"), format!("{naive:?}"));
         assert!(
             ff >= 1,
@@ -2563,14 +2534,16 @@ mod tests {
 
     #[test]
     fn multi_job_scenarios_never_fast_forward() {
-        let config = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(6)
-            .with_jitter(0.0, 1);
+        let config = OpusConfig {
+            iterations: 6,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::provisioned(SimDuration::from_millis(5))
+        };
         let mut sim = ScenarioSim::build(
-            Scenario::new(tiny_cluster(8))
-                .job(tiny_dag(), config)
-                .job(tiny_dag(), config)
-                .into_spec(),
+            ScenarioSpec::new(tiny_cluster(8))
+                .job(Arc::new(tiny_dag()), config)
+                .job(Arc::new(tiny_dag()), config),
         );
         sim.run_scenario();
         assert_eq!(sim.job_memoized_iterations(0), 0);
@@ -2629,15 +2602,15 @@ mod tests {
     fn more_jobs_than_a_u16_index_fail_fast() {
         // 65,536 copies of an empty DAG: the index-width assert must fire in
         // `build` before any per-job validation touches them.
-        let empty = TrainingDag {
+        let empty = Arc::new(TrainingDag {
             tasks: railsim_workload::TaskArena::default(),
             groups: std::collections::BTreeMap::new(),
             config: ParallelismConfig::paper_llama3_8b(),
-        };
+        });
         let config = OpusConfig::electrical();
-        let mut scenario = Scenario::new(tiny_cluster(1));
+        let mut scenario = ScenarioSpec::new(tiny_cluster(1));
         for _ in 0..(u16::MAX as usize + 1) {
-            scenario = scenario.job(empty.clone(), config);
+            scenario = scenario.job(Arc::clone(&empty), config);
         }
         let _ = scenario.run();
     }
@@ -2650,8 +2623,8 @@ mod tests {
         let dur = clean.iterations[1].iteration_time;
         let down = t1 + dur.mul_f64(0.25);
         let up = down + dur.mul_f64(0.5);
-        Scenario::new(tiny_cluster(4))
-            .job(tiny_dag(), config)
+        ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
             .inject(down, ScenarioEvent::RailDown(RailId(0)))
             .inject(up, ScenarioEvent::RailUp(RailId(0)))
             .run()
@@ -2659,9 +2632,12 @@ mod tests {
 
     #[test]
     fn replan_beats_stall_on_the_same_flap() {
-        let stall = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(3)
-            .with_jitter(0.0, 1);
+        let stall = OpusConfig {
+            iterations: 3,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::provisioned(SimDuration::from_millis(5))
+        };
         let mut replan = stall;
         replan.recovery_policy = RecoveryPolicy::Replan;
         let clean = clean_single(stall);
@@ -2693,17 +2669,20 @@ mod tests {
 
     #[test]
     fn replan_degraded_clock_spans_exactly_the_outage() {
-        let mut config = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(3)
-            .with_jitter(0.0, 1);
+        let mut config = OpusConfig {
+            iterations: 3,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::provisioned(SimDuration::from_millis(5))
+        };
         config.recovery_policy = RecoveryPolicy::Replan;
         let clean = clean_single(config);
         let t1 = clean.iterations[1].started_at;
         let dur = clean.iterations[1].iteration_time;
         let down = t1 + dur.mul_f64(0.25);
         let up = down + dur.mul_f64(0.5);
-        let result = Scenario::new(tiny_cluster(4))
-            .job(tiny_dag(), config)
+        let result = ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
             .inject(down, ScenarioEvent::RailDown(RailId(0)))
             .inject(up, ScenarioEvent::RailUp(RailId(0)))
             .run();
@@ -2720,12 +2699,15 @@ mod tests {
         // The stall twin of this timeline panics ("no scheduled recovery", pinned by
         // `unrecovered_rail_failure_is_a_scenario_bug`): the degraded plan excludes
         // the dead rail, so a replan job keeps training to the end of the scenario.
-        let mut config = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(3)
-            .with_jitter(0.0, 1);
+        let mut config = OpusConfig {
+            iterations: 3,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::provisioned(SimDuration::from_millis(5))
+        };
         config.recovery_policy = RecoveryPolicy::Replan;
-        let result = Scenario::new(tiny_cluster(4))
-            .job(tiny_dag(), config)
+        let result = ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
             .inject(SimTime::from_micros(1), ScenarioEvent::RailDown(RailId(0)))
             .run();
         assert_eq!(result.jobs[0].result.iterations.len(), 3);
@@ -2748,9 +2730,12 @@ mod tests {
     fn replan_policy_on_electrical_jobs_is_inert() {
         // Electrical fabrics have no circuits to re-stripe; the policy knob must not
         // change their (stalling) behavior or invent replan metrics.
-        let stall = OpusConfig::electrical()
-            .with_iterations(3)
-            .with_jitter(0.0, 1);
+        let stall = OpusConfig {
+            iterations: 3,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::electrical()
+        };
         let mut replan = stall;
         replan.recovery_policy = RecoveryPolicy::Replan;
         let a = flapped_scenario(stall);
@@ -2780,9 +2765,12 @@ mod tests {
         let parallel = ParallelismConfig::paper_llama3_8b();
         let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
         let train_dag = DagBuilder::new(model, parallel, compute).build();
-        let mut train_cfg = OpusConfig::on_demand(SimDuration::from_millis(25))
-            .with_iterations(3)
-            .with_jitter(0.0, 1);
+        let mut train_cfg = OpusConfig {
+            iterations: 3,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::on_demand(SimDuration::from_millis(25))
+        };
         train_cfg.eviction = eviction;
         let serve_cfg = train_cfg;
         let inference = InferenceConfig::tiny_test(4, 2, 2);
@@ -2910,11 +2898,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a serving job")]
     fn request_burst_for_a_training_job_is_rejected() {
-        let config = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(2)
-            .with_jitter(0.0, 1);
-        Scenario::new(tiny_cluster(4))
-            .job(tiny_dag(), config)
+        let config = OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::provisioned(SimDuration::from_millis(5))
+        };
+        ScenarioSpec::new(tiny_cluster(4))
+            .job(Arc::new(tiny_dag()), config)
             .inject(
                 ms(5),
                 ScenarioEvent::RequestBurst {

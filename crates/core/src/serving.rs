@@ -26,10 +26,10 @@ use railsim_workload::{InferenceConfig, JobId};
 
 /// The serving-side declaration of one elastic inference job.
 ///
-/// Attached to a job via [`ScenarioSpec::serving_job`](crate::ScenarioSpec) (or
-/// [`Scenario::serving_job`](crate::Scenario)); the DAG itself comes from
-/// [`railsim_workload::InferenceDagBuilder`]. `replicas × gpus_per_replica` must
-/// equal the DAG's world size — the scenario builder asserts it.
+/// Attached to a job via [`ScenarioSpec::serving_job`](crate::ScenarioSpec); the DAG
+/// itself comes from [`railsim_workload::InferenceDagBuilder`].
+/// `replicas × gpus_per_replica` must equal the DAG's world size — the scenario
+/// builder asserts it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServingSpec {
     /// Maximum replica count — the number of replica slices baked into the DAG.

@@ -7,19 +7,19 @@
 //! timelines), Fig. 4 (window statistics) and Fig. 8 (iteration time vs.
 //! reconfiguration latency).
 //!
-//! Since the scenario-driver redesign, `OpusSimulator` is a thin wrapper over
-//! [`Scenario`](crate::Scenario) with exactly one job, a clean timeline and the
-//! classic accessors — the entire execution engine lives in
-//! [`scenario`](crate::scenario), and a single-job scenario is defined (and pinned by
-//! the determinism and golden suites) to produce byte-identical serialized metrics to
-//! the pre-redesign simulator.
+//! `OpusSimulator` is a thin wrapper over a one-job [`ScenarioSpec`] with a clean
+//! timeline: the entire execution engine lives in [`scenario`](crate::scenario), and
+//! the wrapper only adds the accessors a [`ScenarioResult`](crate::ScenarioResult)
+//! does not carry (the shim profile, the controller's counters and the memo's
+//! fast-forward count). A single-job scenario is pinned by the determinism and golden
+//! suites to produce byte-identical serialized metrics to the wrapper.
 //!
 //! ## How a communication task executes
 //!
 //! 1. The task becomes *group-ready* when every participant's prerequisites are done
 //!    (the paper's `T_comm_start` — the slowest rank has joined).
-//! 2. Its circuit demand is looked up in the [`GroupTable`]. Scale-up traffic (TP) and
-//!    the electrical baseline skip straight to the transfer.
+//! 2. Its circuit demand is looked up in the [`GroupTable`](crate::GroupTable).
+//!    Scale-up traffic (TP) and the electrical baseline skip straight to the transfer.
 //! 3. On photonic rails the shim asks the controller for the group's circuits. If the
 //!    demand matrix did not change the request is free; otherwise the controller waits
 //!    for conflicting traffic to drain, reconfigures the OCS, and the transfer starts
@@ -31,19 +31,19 @@
 
 use crate::config::{OpusConfig, ReconfigPolicy};
 use crate::controller::OpusController;
-use crate::group_table::GroupTable;
 use crate::metrics::SimulationResult;
-use crate::scenario::{Scenario, ScenarioSim};
+use crate::scenario::{ScenarioSim, ScenarioSpec};
 use crate::shim::OpusShim;
 use railsim_sim::SimDuration;
 use railsim_topology::Cluster;
 use railsim_workload::TrainingDag;
+use std::sync::Arc;
 
 /// The end-to-end single-job simulator: one job, no injected events.
 ///
-/// Equivalent to `Scenario::new(cluster).job(dag, config)` followed by extracting the
-/// only job's [`SimulationResult`]; kept as a first-class type because every figure
-/// binary, test suite and example drives exactly this shape.
+/// Equivalent to `ScenarioSpec::new(cluster).job(Arc::new(dag), config).run()`
+/// followed by extracting the only job's [`SimulationResult`]; kept as a first-class
+/// type because every figure binary, test suite and example drives exactly this shape.
 pub struct OpusSimulator {
     sim: ScenarioSim,
 }
@@ -55,13 +55,8 @@ impl OpusSimulator {
     /// Panics if the DAG is invalid or references ranks outside the cluster.
     pub fn new(cluster: Cluster, dag: TrainingDag, config: OpusConfig) -> Self {
         OpusSimulator {
-            sim: ScenarioSim::build(Scenario::new(cluster).job(dag, config).into_spec()),
+            sim: ScenarioSim::build(ScenarioSpec::new(cluster).job(Arc::new(dag), config)),
         }
-    }
-
-    /// The group table (communication groups and their planned circuits).
-    pub fn group_table(&self) -> &GroupTable {
-        self.sim.job_group_table(0)
     }
 
     /// The shim (and its profile, once at least one iteration has run).
@@ -90,19 +85,6 @@ impl OpusSimulator {
     }
 }
 
-/// Convenience: runs the same (cluster, DAG) under a list of configurations and
-/// returns their results in order. Used by the Fig. 8 sweep.
-pub fn run_policies(
-    cluster: &Cluster,
-    dag: &TrainingDag,
-    configs: &[OpusConfig],
-) -> Vec<SimulationResult> {
-    configs
-        .iter()
-        .map(|cfg| OpusSimulator::new(cluster.clone(), dag.clone(), *cfg).run())
-        .collect()
-}
-
 /// Builds the baseline (electrical) configuration matching `config` in every respect
 /// except the network policy. Useful for normalizing Fig. 8 curves.
 pub fn baseline_of(config: &OpusConfig) -> OpusConfig {
@@ -115,8 +97,6 @@ pub fn baseline_of(config: &OpusConfig) -> OpusConfig {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the dense `with_*` chains migrate to field style over time
-
     use super::*;
     use railsim_collectives::ParallelismAxis;
     use railsim_sim::SimDuration;
@@ -144,7 +124,14 @@ mod tests {
     #[test]
     fn electrical_baseline_runs_to_completion() {
         let (cluster, dag) = tiny_setup();
-        let mut sim = OpusSimulator::new(cluster, dag, OpusConfig::electrical().with_iterations(1));
+        let mut sim = OpusSimulator::new(
+            cluster,
+            dag,
+            OpusConfig {
+                iterations: 1,
+                ..OpusConfig::electrical()
+            },
+        );
         let result = sim.run();
         assert_eq!(result.iterations.len(), 1);
         let it = &result.iterations[0];
@@ -160,17 +147,23 @@ mod tests {
         let baseline = OpusSimulator::new(
             cluster.clone(),
             dag.clone(),
-            OpusConfig::electrical()
-                .with_iterations(2)
-                .with_jitter(0.0, 1),
+            OpusConfig {
+                iterations: 2,
+                compute_jitter: 0.0,
+                seed: 1,
+                ..OpusConfig::electrical()
+            },
         )
         .run();
         let optical = OpusSimulator::new(
             cluster,
             dag,
-            OpusConfig::on_demand(SimDuration::ZERO)
-                .with_iterations(2)
-                .with_jitter(0.0, 1),
+            OpusConfig {
+                iterations: 2,
+                compute_jitter: 0.0,
+                seed: 1,
+                ..OpusConfig::on_demand(SimDuration::ZERO)
+            },
         )
         .run();
         // A zero-latency optical fabric still serializes a port's circuits (a single
@@ -189,7 +182,10 @@ mod tests {
         let mut sim = OpusSimulator::new(
             cluster,
             dag,
-            OpusConfig::on_demand(SimDuration::from_millis(1)).with_iterations(1),
+            OpusConfig {
+                iterations: 1,
+                ..OpusConfig::on_demand(SimDuration::from_millis(1))
+            },
         );
         let result = sim.run();
         let it = &result.iterations[0];
@@ -214,9 +210,12 @@ mod tests {
             let result = OpusSimulator::new(
                 cluster.clone(),
                 dag.clone(),
-                OpusConfig::on_demand(SimDuration::from_millis(ms))
-                    .with_iterations(2)
-                    .with_jitter(0.0, 1),
+                OpusConfig {
+                    iterations: 2,
+                    compute_jitter: 0.0,
+                    seed: 1,
+                    ..OpusConfig::on_demand(SimDuration::from_millis(ms))
+                },
             )
             .run();
             let t = result.steady_state_iteration_time();
@@ -235,17 +234,23 @@ mod tests {
             let on_demand = OpusSimulator::new(
                 cluster.clone(),
                 dag.clone(),
-                OpusConfig::on_demand(SimDuration::from_millis(ms))
-                    .with_iterations(3)
-                    .with_jitter(0.0, 1),
+                OpusConfig {
+                    iterations: 3,
+                    compute_jitter: 0.0,
+                    seed: 1,
+                    ..OpusConfig::on_demand(SimDuration::from_millis(ms))
+                },
             )
             .run();
             let provisioned = OpusSimulator::new(
                 cluster.clone(),
                 dag.clone(),
-                OpusConfig::provisioned(SimDuration::from_millis(ms))
-                    .with_iterations(3)
-                    .with_jitter(0.0, 1),
+                OpusConfig {
+                    iterations: 3,
+                    compute_jitter: 0.0,
+                    seed: 1,
+                    ..OpusConfig::provisioned(SimDuration::from_millis(ms))
+                },
             )
             .run();
             let t_od = on_demand.steady_state_iteration_time();
@@ -263,17 +268,23 @@ mod tests {
         let baseline = OpusSimulator::new(
             cluster.clone(),
             dag.clone(),
-            OpusConfig::electrical()
-                .with_iterations(2)
-                .with_jitter(0.0, 1),
+            OpusConfig {
+                iterations: 2,
+                compute_jitter: 0.0,
+                seed: 1,
+                ..OpusConfig::electrical()
+            },
         )
         .run();
         let provisioned = OpusSimulator::new(
             cluster,
             dag,
-            OpusConfig::provisioned(SimDuration::from_millis(25))
-                .with_iterations(2)
-                .with_jitter(0.0, 1),
+            OpusConfig {
+                iterations: 2,
+                compute_jitter: 0.0,
+                seed: 1,
+                ..OpusConfig::provisioned(SimDuration::from_millis(25))
+            },
         )
         .run();
         let ratio = provisioned.normalized_against(&baseline);
@@ -289,7 +300,10 @@ mod tests {
         let mut sim = OpusSimulator::new(
             cluster,
             dag,
-            OpusConfig::on_demand(SimDuration::from_millis(1)).with_iterations(1),
+            OpusConfig {
+                iterations: 1,
+                ..OpusConfig::on_demand(SimDuration::from_millis(1))
+            },
         );
         let result = sim.run();
         for rec in &result.iterations[0].comm_records {
@@ -310,7 +324,10 @@ mod tests {
         let mut sim = OpusSimulator::new(
             cluster,
             dag,
-            OpusConfig::on_demand(SimDuration::from_millis(1)).with_iterations(1),
+            OpusConfig {
+                iterations: 1,
+                ..OpusConfig::on_demand(SimDuration::from_millis(1))
+            },
         );
         let result = sim.run();
         let scaleout: Vec<_> = result.iterations[0]
@@ -331,7 +348,10 @@ mod tests {
         let mut sim = OpusSimulator::new(
             cluster,
             dag,
-            OpusConfig::provisioned(SimDuration::from_millis(5)).with_iterations(2),
+            OpusConfig {
+                iterations: 2,
+                ..OpusConfig::provisioned(SimDuration::from_millis(5))
+            },
         );
         let _ = sim.run();
         assert!(sim.shim().can_provision());
@@ -346,18 +366,24 @@ mod tests {
         let plain = OpusSimulator::new(
             cluster.clone(),
             dag.clone(),
-            OpusConfig::provisioned(latency)
-                .with_iterations(2)
-                .with_jitter(0.0, 1),
+            OpusConfig {
+                iterations: 2,
+                compute_jitter: 0.0,
+                seed: 1,
+                ..OpusConfig::provisioned(latency)
+            },
         )
         .run();
         let offloaded = OpusSimulator::new(
             cluster,
             dag,
-            OpusConfig::provisioned(latency)
-                .with_host_offload(HostOffload::frontend_100g())
-                .with_iterations(2)
-                .with_jitter(0.0, 1),
+            OpusConfig {
+                host_offload: Some(HostOffload::frontend_100g()),
+                iterations: 2,
+                compute_jitter: 0.0,
+                seed: 1,
+                ..OpusConfig::provisioned(latency)
+            },
         )
         .run();
         // The sub-megabyte sync AllReduces no longer hit the rails, so the offloaded
@@ -382,7 +408,14 @@ mod tests {
     #[test]
     fn multiple_iterations_advance_the_clock() {
         let (cluster, dag) = tiny_setup();
-        let mut sim = OpusSimulator::new(cluster, dag, OpusConfig::electrical().with_iterations(3));
+        let mut sim = OpusSimulator::new(
+            cluster,
+            dag,
+            OpusConfig {
+                iterations: 3,
+                ..OpusConfig::electrical()
+            },
+        );
         let result = sim.run();
         assert_eq!(result.iterations.len(), 3);
         for w in result.iterations.windows(2) {
@@ -393,12 +426,22 @@ mod tests {
     #[test]
     fn memoized_runs_report_their_fast_forwards_and_match_the_naive_path() {
         let (cluster, dag) = tiny_setup();
-        let base = OpusConfig::provisioned(SimDuration::from_millis(25))
-            .with_iterations(12)
-            .with_jitter(0.0, 1);
+        let base = OpusConfig {
+            iterations: 12,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::provisioned(SimDuration::from_millis(25))
+        };
         let mut memoized = OpusSimulator::new(cluster.clone(), dag.clone(), base);
         let memo_result = memoized.run();
-        let mut naive = OpusSimulator::new(cluster, dag, base.with_memoization(false));
+        let mut naive = OpusSimulator::new(
+            cluster,
+            dag,
+            OpusConfig {
+                memoize_steady_state: false,
+                ..base
+            },
+        );
         let naive_result = naive.run();
         assert_eq!(naive.memoized_iterations(), 0);
         assert!(

@@ -54,18 +54,6 @@ impl ElectricalRailFabric {
             datapath_latency: Self::DEFAULT_SWITCH_LATENCY,
         }
     }
-
-    /// Overrides the per-pair bandwidth.
-    pub fn with_pair_bandwidth(mut self, bw: Bandwidth) -> Self {
-        self.pair_bandwidth = bw;
-        self
-    }
-
-    /// Overrides the datapath latency.
-    pub fn with_datapath_latency(mut self, latency: SimDuration) -> Self {
-        self.datapath_latency = latency;
-        self
-    }
 }
 
 impl RailConnectivity for ElectricalRailFabric {
@@ -196,11 +184,6 @@ impl OpticalRailFabric {
     pub fn circuits_torn_down_by_rail(&self) -> Vec<u64> {
         self.ocses.iter().map(|o| o.circuits_torn_down()).collect()
     }
-
-    /// Bandwidth of a single optical circuit (one logical NIC port).
-    pub fn circuit_bandwidth(&self) -> Bandwidth {
-        self.port_bandwidth
-    }
 }
 
 impl RailConnectivity for OpticalRailFabric {
@@ -244,14 +227,6 @@ impl ScaleOutFabric {
 
     /// Borrows the optical fabric, if that is what this is.
     pub fn as_optical(&self) -> Option<&OpticalRailFabric> {
-        match self {
-            ScaleOutFabric::Optical(o) => Some(o),
-            ScaleOutFabric::Electrical(_) => None,
-        }
-    }
-
-    /// Mutably borrows the optical fabric, if that is what this is.
-    pub fn as_optical_mut(&mut self) -> Option<&mut OpticalRailFabric> {
         match self {
             ScaleOutFabric::Optical(o) => Some(o),
             ScaleOutFabric::Electrical(_) => None,

@@ -48,11 +48,6 @@ impl Circuit {
         self.hi
     }
 
-    /// True when `port` is one of the circuit's endpoints.
-    pub fn uses_port(&self, port: PortId) -> bool {
-        self.lo == port || self.hi == port
-    }
-
     /// True when either endpoint belongs to `gpu`.
     pub fn touches_gpu(&self, gpu: GpuId) -> bool {
         self.lo.gpu == gpu || self.hi.gpu == gpu

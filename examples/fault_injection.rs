@@ -14,6 +14,7 @@
 //! ```
 
 use photonic_rails::prelude::*;
+use std::sync::Arc;
 
 fn build_dag() -> TrainingDag {
     let model = ModelConfig::llama3_8b();
@@ -49,8 +50,8 @@ fn main() {
         config.seed = 7;
 
         // Clean reference run.
-        let clean = Scenario::new(cluster())
-            .job(build_dag(), config)
+        let clean = ScenarioSpec::new(cluster())
+            .job(Arc::new(build_dag()), config)
             .run()
             .jobs
             .remove(0)
@@ -63,8 +64,8 @@ fn main() {
         let down = t1 + dur.mul_f64(0.25);
         let up = down + dur.mul_f64(0.5);
 
-        let faulted = Scenario::new(cluster())
-            .job(build_dag(), config)
+        let faulted = ScenarioSpec::new(cluster())
+            .job(Arc::new(build_dag()), config)
             .inject(down, ScenarioEvent::RailDown(RailId(0)))
             .inject(up, ScenarioEvent::RailUp(RailId(0)))
             .run();

@@ -21,6 +21,7 @@
 //! ```
 
 use photonic_rails::prelude::*;
+use std::sync::Arc;
 
 fn run(eviction: EvictionPolicy) -> ScenarioResult {
     // 5 nodes = 20 GPUs: the 16-rank trainer at GPU 0, the 16-GPU serving
@@ -52,9 +53,9 @@ fn run(eviction: EvictionPolicy) -> ScenarioResult {
         SimTime::from_millis(150),
     );
 
-    Scenario::new(cluster)
-        .job(train_dag, config)
-        .serving_job(serve_dag, config, JobPlacement::AtGpu(4), serving)
+    ScenarioSpec::new(cluster)
+        .job(Arc::new(train_dag), config)
+        .serving_job(Arc::new(serve_dag), config, JobPlacement::AtGpu(4), serving)
         .inject_all(bursts)
         .inject(
             SimTime::from_millis(40),

@@ -24,6 +24,7 @@
 //!
 //! ```
 //! use photonic_rails::prelude::*;
+//! use std::sync::Arc;
 //!
 //! // Build the paper's testbed: 4 Perlmutter nodes, Llama3-8B, TP=4 / FSDP=2 / PP=2.
 //! let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 4).build();
@@ -32,13 +33,15 @@
 //! let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
 //! let dag = DagBuilder::new(model, parallel, compute).build();
 //!
-//! // Simulate photonic rails with a 25 ms piezo OCS and provisioning. `Scenario` is
-//! // the entry point: one or more jobs on a shared cluster, plus an injected event
+//! // Simulate photonic rails with a 25 ms piezo OCS and provisioning. `ScenarioSpec`
+//! // is the entry point: one or more jobs on a shared cluster, plus an injected event
 //! // timeline (rail failures/recoveries, OCS degradation, late job arrivals).
-//! let mut config = OpusConfig::provisioned(SimDuration::from_millis(25));
-//! config.iterations = 2;
-//! let result = Scenario::new(cluster)
-//!     .job(dag, config)
+//! let config = OpusConfig {
+//!     iterations: 2,
+//!     ..OpusConfig::provisioned(SimDuration::from_millis(25))
+//! };
+//! let result = ScenarioSpec::new(cluster)
+//!     .job(Arc::new(dag), config)
 //!     .inject(SimTime::from_millis(5), ScenarioEvent::RailDown(RailId(0)))
 //!     .inject(SimTime::from_millis(80), ScenarioEvent::RailUp(RailId(0)))
 //!     .run();
@@ -47,8 +50,8 @@
 //!     result.job(JobId(0)).result.steady_state_iteration_time()
 //! );
 //! println!("rail 0 outages: {}", result.fleet.rail_failures[0]);
-//! // Single pristine jobs keep the classic wrapper (byte-identical to a one-job
-//! // scenario): `OpusSimulator::new(cluster, dag, config).run()`.
+//! // `OpusSimulator::new(cluster, dag, config).run()` is the same run for one
+//! // pristine job, with accessors for the shim, controller and memo counters.
 //! ```
 //!
 //! The `examples/` directory contains runnable end-to-end scenarios and the
@@ -70,7 +73,7 @@ pub mod prelude {
     pub use opus::{
         window_cdf, windows_on_rail, ArrivalProcess, EvictionPolicy, FailureModel, FleetService,
         Frontier, JobPlacement, JobSpec, LevelSummary, OpusConfig, OpusController, OpusShim,
-        OpusSimulator, Percentiles, ProvisioningLevel, ReconfigPolicy, RecoveryPolicy, Scenario,
+        OpusSimulator, Percentiles, ProvisioningLevel, ReconfigPolicy, RecoveryPolicy,
         ScenarioEvent, ScenarioResult, ScenarioSpec, ServingSpec, SimulationResult, SweepReport,
         SweepSpec, VariantResult,
     };

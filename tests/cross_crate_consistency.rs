@@ -1,8 +1,6 @@
 //! Cross-crate consistency checks: the rank mapping, the cluster's rail structure, the
 //! circuit planner and the DAG builder must all agree about which traffic goes where.
 
-#![allow(deprecated)] // the `with_*` chains here migrate to field style over time
-
 use photonic_rails::opus::{CircuitPlanner, GroupTable};
 use photonic_rails::prelude::*;
 use photonic_rails::workload::{RankMapping, TaskId, TaskKind};
@@ -94,7 +92,10 @@ fn dag_scaleout_traffic_matches_topology_expectations() {
     let mut sim = OpusSimulator::new(
         cluster.clone(),
         dag,
-        OpusConfig::on_demand(SimDuration::from_millis(1)).with_iterations(1),
+        OpusConfig {
+            iterations: 1,
+            ..OpusConfig::on_demand(SimDuration::from_millis(1))
+        },
     );
     let result = sim.run();
     for record in &result.iterations[0].comm_records {
@@ -133,7 +134,10 @@ fn five_d_parallelism_maps_consistently_onto_a_bigger_cluster() {
     let mut sim = OpusSimulator::new(
         cluster,
         dag,
-        OpusConfig::provisioned(SimDuration::from_millis(15)).with_iterations(2),
+        OpusConfig {
+            iterations: 2,
+            ..OpusConfig::provisioned(SimDuration::from_millis(15))
+        },
     );
     let result = sim.run();
     assert_eq!(result.iterations.len(), 2);

@@ -1,8 +1,6 @@
 //! End-to-end integration tests: the fidelity expectations listed in DESIGN.md §6,
 //! exercised through the public API exactly the way the experiment binaries use it.
 
-#![allow(deprecated)] // the `with_*` chains here migrate to field style over time
-
 use photonic_rails::cost::ocs_tech::{ocs_technologies, scaleup};
 use photonic_rails::opus::{
     default_traffic_buckets_mb, window_cdf, windows_by_following_traffic, windows_on_rail,
@@ -27,9 +25,12 @@ fn fig4_majority_of_windows_exceed_one_millisecond() {
     let mut sim = OpusSimulator::new(
         cluster.clone(),
         paper_dag(),
-        OpusConfig::electrical()
-            .with_iterations(5)
-            .with_jitter(0.05, 42),
+        OpusConfig {
+            iterations: 5,
+            compute_jitter: 0.05,
+            seed: 42,
+            ..OpusConfig::electrical()
+        },
     );
     let result = sim.run();
 
@@ -54,9 +55,12 @@ fn fig4_largest_traffic_class_sees_the_largest_windows() {
     let mut sim = OpusSimulator::new(
         cluster,
         paper_dag(),
-        OpusConfig::electrical()
-            .with_iterations(5)
-            .with_jitter(0.05, 7),
+        OpusConfig {
+            iterations: 5,
+            compute_jitter: 0.05,
+            seed: 7,
+            ..OpusConfig::electrical()
+        },
     );
     let result = sim.run();
     let windows: Vec<_> = result
@@ -95,9 +99,12 @@ fn fig8_shape_monotone_and_provisioning_helps() {
     let baseline = OpusSimulator::new(
         cluster.clone(),
         dag.clone(),
-        OpusConfig::electrical()
-            .with_iterations(2)
-            .with_jitter(0.0, 1),
+        OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::electrical()
+        },
     )
     .run();
     let base = baseline.steady_state_iteration_time().as_secs_f64();
@@ -107,9 +114,12 @@ fn fig8_shape_monotone_and_provisioning_helps() {
         let od = OpusSimulator::new(
             cluster.clone(),
             dag.clone(),
-            OpusConfig::on_demand(SimDuration::from_millis(ms))
-                .with_iterations(2)
-                .with_jitter(0.0, 1),
+            OpusConfig {
+                iterations: 2,
+                compute_jitter: 0.0,
+                seed: 1,
+                ..OpusConfig::on_demand(SimDuration::from_millis(ms))
+            },
         )
         .run()
         .steady_state_iteration_time()
@@ -118,9 +128,12 @@ fn fig8_shape_monotone_and_provisioning_helps() {
         let pr = OpusSimulator::new(
             cluster.clone(),
             dag.clone(),
-            OpusConfig::provisioned(SimDuration::from_millis(ms))
-                .with_iterations(2)
-                .with_jitter(0.0, 1),
+            OpusConfig {
+                iterations: 2,
+                compute_jitter: 0.0,
+                seed: 1,
+                ..OpusConfig::provisioned(SimDuration::from_millis(ms))
+            },
         )
         .run()
         .steady_state_iteration_time()
@@ -156,17 +169,23 @@ fn fig8_piezo_class_switch_with_provisioning_costs_little() {
     let baseline = OpusSimulator::new(
         cluster.clone(),
         dag.clone(),
-        OpusConfig::electrical()
-            .with_iterations(3)
-            .with_jitter(0.0, 3),
+        OpusConfig {
+            iterations: 3,
+            compute_jitter: 0.0,
+            seed: 3,
+            ..OpusConfig::electrical()
+        },
     )
     .run();
     let provisioned = OpusSimulator::new(
         cluster,
         dag,
-        OpusConfig::provisioned(SimDuration::from_millis(25))
-            .with_iterations(3)
-            .with_jitter(0.0, 3),
+        OpusConfig {
+            iterations: 3,
+            compute_jitter: 0.0,
+            seed: 3,
+            ..OpusConfig::provisioned(SimDuration::from_millis(25))
+        },
     )
     .run();
     let ratio = provisioned.normalized_against(&baseline);
@@ -216,17 +235,23 @@ fn electrical_and_optical_runs_agree_on_traffic_volume() {
     let electrical = OpusSimulator::new(
         cluster.clone(),
         dag.clone(),
-        OpusConfig::electrical()
-            .with_iterations(1)
-            .with_jitter(0.0, 9),
+        OpusConfig {
+            iterations: 1,
+            compute_jitter: 0.0,
+            seed: 9,
+            ..OpusConfig::electrical()
+        },
     )
     .run();
     let optical = OpusSimulator::new(
         cluster,
         dag,
-        OpusConfig::provisioned(SimDuration::from_millis(25))
-            .with_iterations(1)
-            .with_jitter(0.0, 9),
+        OpusConfig {
+            iterations: 1,
+            compute_jitter: 0.0,
+            seed: 9,
+            ..OpusConfig::provisioned(SimDuration::from_millis(25))
+        },
     )
     .run();
     assert_eq!(
@@ -246,9 +271,12 @@ fn reconfiguration_counts_are_far_below_collective_counts() {
     let mut sim = OpusSimulator::new(
         cluster,
         paper_dag(),
-        OpusConfig::provisioned(SimDuration::from_millis(25))
-            .with_iterations(2)
-            .with_jitter(0.0, 5),
+        OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.0,
+            seed: 5,
+            ..OpusConfig::provisioned(SimDuration::from_millis(25))
+        },
     );
     let result = sim.run();
     let it = result.iterations.last().unwrap();

@@ -3,8 +3,6 @@
 //! invariants, collective cost-model monotonicity, rank-mapping bijectivity, Clos
 //! sizing bounds and DAG acyclicity across random parallelism configurations.
 
-#![allow(deprecated)] // the `with_*` chains here migrate to field style over time
-
 use photonic_rails::collectives::cost::{collective_time, CostParams};
 use photonic_rails::prelude::*;
 use photonic_rails::sim::{EventQueue, SimRng};
@@ -12,6 +10,7 @@ use photonic_rails::topology::fattree::ClosDimensions;
 use photonic_rails::topology::{Circuit, CircuitConfig, Ocs, PortId};
 use photonic_rails::workload::RankMapping;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -268,9 +267,12 @@ proptest! {
         let parallel = ParallelismConfig::paper_llama3_8b();
         let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
         let dag = DagBuilder::new(model, parallel, compute).build();
-        let config = OpusConfig::provisioned(SimDuration::from_millis(latency_ms))
-            .with_iterations(2)
-            .with_jitter(0.05, seed);
+        let config = OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.05,
+            seed,
+            ..OpusConfig::provisioned(SimDuration::from_millis(latency_ms))
+        };
         let a = OpusSimulator::new(cluster.clone(), dag.clone(), config).run();
         let b = OpusSimulator::new(cluster, dag, config).run();
         prop_assert_eq!(a.steady_state_iteration_time(), b.steady_state_iteration_time());
@@ -299,9 +301,9 @@ proptest! {
             let parallel = ParallelismConfig::paper_llama3_8b();
             let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
             let dag = DagBuilder::new(model, parallel, compute).build();
-            let mut scenario = Scenario::new(cluster)
-                .job(dag.clone(), config)
-                .job(dag, config)
+            let mut scenario = ScenarioSpec::new(cluster)
+                .job(Arc::new(dag.clone()), config)
+                .job(Arc::new(dag), config)
                 .inject(
                     SimTime::from_millis(arrival_ms),
                     ScenarioEvent::JobArrival { job: JobId(1) },
@@ -330,9 +332,12 @@ proptest! {
             }
             serde_json::to_string_pretty(&scenario.run()).expect("scenario results serialize")
         };
-        let mut base = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(2)
-            .with_jitter(0.05, seed);
+        let mut base = OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.05,
+            seed,
+            ..OpusConfig::provisioned(SimDuration::from_millis(5))
+        };
         if replan == 1 {
             base.recovery_policy = RecoveryPolicy::Replan;
         }
@@ -367,9 +372,14 @@ proptest! {
             let inference = InferenceConfig::tiny_test(4, 2, 2);
             let serving = ServingSpec::for_inference(&inference, 1);
             let serve_dag = InferenceDagBuilder::new(inference, GpuSpec::a100()).build();
-            let mut scenario = Scenario::new(cluster)
-                .job(train_dag, config)
-                .serving_job(serve_dag, config, JobPlacement::AtGpu(4), serving)
+            let mut scenario = ScenarioSpec::new(cluster)
+                .job(Arc::new(train_dag), config)
+                .serving_job(
+                    Arc::new(serve_dag),
+                    config,
+                    JobPlacement::AtGpu(4),
+                    serving,
+                )
                 .inject(
                     SimTime::from_millis(grow_ms),
                     ScenarioEvent::JobGrow { job: JobId(1) },
@@ -386,9 +396,12 @@ proptest! {
             }
             serde_json::to_string_pretty(&scenario.run()).expect("scenario results serialize")
         };
-        let mut base = OpusConfig::on_demand(SimDuration::from_millis(5))
-            .with_iterations(2)
-            .with_jitter(0.05, seed);
+        let mut base = OpusConfig {
+            iterations: 2,
+            compute_jitter: 0.05,
+            seed,
+            ..OpusConfig::on_demand(SimDuration::from_millis(5))
+        };
         base.eviction = eviction;
         prop_assert_eq!(
             build(base),
@@ -420,9 +433,9 @@ proptest! {
             let parallel = ParallelismConfig::paper_llama3_8b();
             let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::a100());
             let dag = DagBuilder::new(model, parallel, compute).build();
-            let mut scenario = Scenario::new(cluster).job(dag.clone(), config);
+            let mut scenario = ScenarioSpec::new(cluster).job(Arc::new(dag.clone()), config);
             if two_jobs {
-                scenario = scenario.job(dag, config);
+                scenario = scenario.job(Arc::new(dag), config);
             }
             if let Some((down_ms, up_delta_ms, rail)) = flap {
                 scenario = scenario
@@ -437,13 +450,19 @@ proptest! {
             }
             serde_json::to_string_pretty(&scenario.run()).expect("scenario results serialize")
         };
-        let mut base = OpusConfig::provisioned(SimDuration::from_millis(5))
-            .with_iterations(8)
-            .with_jitter(0.0, 1);
+        let mut base = OpusConfig {
+            iterations: 8,
+            compute_jitter: 0.0,
+            seed: 1,
+            ..OpusConfig::provisioned(SimDuration::from_millis(5))
+        };
         if replan == 1 {
             base.recovery_policy = RecoveryPolicy::Replan;
         }
-        let naive = base.with_memoization(false);
+        let naive = OpusConfig {
+            memoize_steady_state: false,
+            ..base
+        };
         prop_assert_eq!(build(base), build(naive), "memoized and naive paths diverged");
     }
 
