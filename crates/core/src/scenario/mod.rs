@@ -66,7 +66,7 @@
 //! scenarios are declared up front, so an unsatisfiable timeline is a scenario bug,
 //! not a simulation outcome.
 //!
-//! That stalling behavior is [`RecoveryPolicy::Stall`](crate::RecoveryPolicy), the
+//! That stalling behavior is [`RecoveryPolicy::Stall`], the
 //! default. Under [`RecoveryPolicy::Replan`](crate::RecoveryPolicy) an optical job
 //! instead swaps every affected group onto a *degraded* circuit plan the moment the
 //! failure commits: the dead rail's ring circuits are re-striped onto surviving
@@ -77,27 +77,31 @@
 //! inputs: degraded iterations, replan reconfigurations and time under a degraded
 //! plan.
 
-use crate::circuits::{CircuitPlanner, GroupCircuits};
-use crate::config::OpusConfig;
-use crate::config::{EvictionPolicy, ReconfigPolicy, RecoveryPolicy};
+mod build;
+mod inject;
+mod memo;
+mod step;
+
+use crate::circuits::GroupCircuits;
+#[cfg(doc)]
+use crate::config::{EvictionPolicy, RecoveryPolicy};
+use crate::config::{OpusConfig, ReconfigPolicy};
 use crate::controller::OpusController;
+#[cfg(doc)]
 use crate::group_table::GroupTable;
 use crate::metrics::{CommRecord, IterationResult, ReconfigEvent, SimulationResult};
 use crate::serving::ServingSpec;
 use crate::shim::OpusShim;
-use railsim_collectives::{
-    cost::{collective_time, CostParams},
-    degraded_params, CollectiveKind, CommGroup, GroupId, ParallelismAxis,
-};
+use inject::Injection;
+use memo::MemoState;
+use railsim_collectives::GroupId;
 use railsim_sim::{Engine, SimDuration, SimRng, SimTime};
-use railsim_topology::{
-    Cluster, ElectricalRailFabric, GpuId, OpticalRailFabric, RailConnectivity, RailHealth, RailId,
-    RailSet,
-};
-use railsim_workload::{JobId, LabelId, RankSet, TaskId, TaskKind, TaskTable, TrainingDag};
+use railsim_topology::{Cluster, RailId};
+use railsim_workload::{JobId, TaskId, TaskTable, TrainingDag};
 use serde::Serialize;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
+use step::Fleet;
 
 /// An external event injected into a scenario's timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -416,89 +420,6 @@ struct CircuitSlot {
     pristine: Option<Box<GroupCircuits>>,
 }
 
-impl CircuitSlot {
-    /// The slot's effective scale-out cost parameters: while a degraded plan is live,
-    /// bandwidth is derated by the ratio of live to pristine rail counts (the
-    /// surviving rails carry the displaced traffic on top of their own).
-    fn adjust_params(&self, params: CostParams) -> CostParams {
-        match self.pristine.as_deref() {
-            Some(p) => degraded_params(&params, p.per_rail.len(), self.circuits.per_rail.len()),
-            None => params,
-        }
-    }
-}
-
-/// Sentinel slot index for tasks without circuit demand (compute tasks).
-const NO_SLOT: u32 = u32::MAX;
-
-/// Sentinel for "no job" in the fleet's per-port tenant table.
-const NO_JOB: u32 = u32::MAX;
-
-/// One entry of the sorted injected timeline.
-struct Injection {
-    at: SimTime,
-    event: ScenarioEvent,
-    /// For `RailDown`: the time of the next `RailUp` of the same rail in the
-    /// timeline, precomputed so the health state can answer availability questions in
-    /// closed form.
-    recover_at: Option<SimTime>,
-}
-
-/// Steady-state iteration memoization state of one job.
-///
-/// ## Detection
-///
-/// After each naively stepped iteration the driver compares it with its predecessor
-/// via [`IterationResult::shifted_replay_of`] — an exact comparison of the committed
-/// timelines, made meaningful by the engine's byte-determinism: same records, same
-/// circuit waits, same reconfiguration pattern, all timestamps moved by one constant
-/// offset (the controller's request-counter deltas must repeat too). Two such
-/// iterations pin *everything* time-varying: compute durations are constant (the
-/// jitter RNG must be inert, see [`OpusConfig::jitter_inert`]), the circuit cycle is
-/// periodic (a provisioned run re-walks the same reconfiguration sequence every
-/// iteration; a reconfiguration-free run trivially so), and any absolute controller
-/// state (port occupancy, OCS ready times) either shifted along or was already
-/// dominated by the advancing clock — so every later unperturbed iteration is the
-/// same iteration shifted again. Each fast-forward replays the template's
-/// controller-side effects at shifted times (port occupancy, circuit installs,
-/// request counters), so the shared state a later naive iteration reads is exactly
-/// what re-stepping would have left.
-///
-/// ## Invalidation
-///
-/// Every applied [`ScenarioEvent`] clears the template *and* forbids detection pairs
-/// that straddle the perturbed iteration (`min_pair`), because an iteration that ran
-/// under a changing fabric proves nothing about the post-change steady state. A
-/// fast-forward is only scheduled when the next unapplied injection lies strictly
-/// beyond the replayed window, so rail-flap timelines degrade to naive stepping
-/// around the fault and re-memoize on fresh evidence afterwards. Multi-job scenarios
-/// disable memoization outright (`enabled`): jobs share the fabric, so one job's
-/// iterations alone cannot witness steady state.
-struct MemoState {
-    /// Structurally allowed for this job: the config knob is on, the jitter RNG is
-    /// inert, and the scenario runs a single job.
-    enabled: bool,
-    /// Index into `completed` of the detected steady-state template iteration.
-    template: Option<usize>,
-    /// Controller request counters `(requests, noop_requests)` at the end of the
-    /// last committed iteration, for measuring per-iteration deltas.
-    counters_at_finish: (u64, u64),
-    /// The counter delta of the most recently committed iteration.
-    last_delta: Option<(u64, u64)>,
-    /// The counter delta of one steady iteration, replayed in bulk per fast-forward.
-    template_delta: (u64, u64),
-    /// Per template reconfiguration event: the `circuit_pool` slot whose circuits the
-    /// event installed, so the replay can re-perform the install without a search.
-    template_slots: Vec<u32>,
-    /// Earliest iteration index admissible as the *first* member of a detection
-    /// pair. Starts at 1 (iteration 0 profiles: the shim observes, provisioning is
-    /// still off) and moves past every iteration perturbed by an injection.
-    min_pair: u32,
-    /// Iterations replayed from the memo instead of re-stepped (observability only;
-    /// never serialized, so golden pins are unaffected).
-    fast_forwarded: u64,
-}
-
 /// Per-job context: everything a standalone simulator used to own globally, now
 /// multiplexed over the shared engine and fabric.
 struct JobContext {
@@ -576,148 +497,6 @@ struct JobContext {
     iter_degraded: bool,
 }
 
-/// The scale-out network backend shared by every job of the scenario.
-enum SharedBackend {
-    Electrical(ElectricalRailFabric),
-    /// Optical policies share one controller (one OCS per rail); electrical jobs in
-    /// the same scenario use the bundled electrical fabric for their transfers.
-    Optical {
-        controller: Box<OpusController>,
-        electrical: ElectricalRailFabric,
-    },
-}
-
-impl SharedBackend {
-    fn controller(&self) -> Option<&OpusController> {
-        match self {
-            SharedBackend::Optical { controller, .. } => Some(controller),
-            SharedBackend::Electrical(_) => None,
-        }
-    }
-
-    fn controller_mut(&mut self) -> Option<&mut OpusController> {
-        match self {
-            SharedBackend::Optical { controller, .. } => Some(controller),
-            SharedBackend::Electrical(_) => None,
-        }
-    }
-
-    fn electrical(&self) -> &ElectricalRailFabric {
-        match self {
-            SharedBackend::Electrical(f) => f,
-            SharedBackend::Optical { electrical, .. } => electrical,
-        }
-    }
-}
-
-/// Fleet-wide shared state: the backend, rail health and the contention counters.
-struct Fleet {
-    backend: SharedBackend,
-    health: RailHealth,
-    /// True when the timeline contains rail failures (the per-transfer outage gate is
-    /// skipped entirely otherwise, keeping clean runs byte-identical and free).
-    faults: bool,
-    /// True when the scenario runs more than one job (enables tenant tracking).
-    multi_job: bool,
-    /// Last job to transfer over each NIC port (dense index), for tenant-takeover
-    /// accounting. Empty in single-job scenarios.
-    port_owner: Vec<u32>,
-    ports_per_gpu: u8,
-    rail_busy: Vec<SimDuration>,
-    /// Per rail: the latest transfer end seen *per job* (a bounded small map, one
-    /// entry per job that ever used the rail, linearly scanned). A single latest-end
-    /// slot is not enough: when one job's long transfer holds the slot, overlaps of
-    /// that same job's next transfers against *other* jobs' shorter in-flight
-    /// transfers would go uncounted (three-way interleavings undercounted).
-    rail_last: Vec<Vec<(u32, SimTime)>>,
-    overlaps: Vec<u64>,
-    port_takeovers: u64,
-    injections_applied: usize,
-}
-
-impl Fleet {
-    /// Accounts one scale-out transfer for the cross-job fleet counters: overlap
-    /// detection and port-tenant takeovers. Only called in multi-job scenarios —
-    /// with one job both counters are structurally zero, and the single-job path is
-    /// the 100k-GPU perf-gated hot path, so it must not pay for fleet bookkeeping
-    /// (per-rail busy time is recovered from the committed records at collection
-    /// time instead; see [`ScenarioSim::into_result`]).
-    fn note_transfer(&mut self, job: u32, circuits: &GroupCircuits, start: SimTime, end: SimTime) {
-        for (&rail, config) in &circuits.per_rail {
-            let i = rail.index();
-            debug_assert!(
-                self.rail_busy[i]
-                    .checked_add(end.duration_since(start))
-                    .is_some(),
-                "rail_busy[{i}] overflowed u64 nanoseconds — the saturating clamp would \
-                 silently freeze the fleet counter"
-            );
-            self.rail_busy[i] = self.rail_busy[i].saturating_add(end.duration_since(start));
-            // An overlap is counted when any *other* job still had a transfer in
-            // flight on the rail when this one started (at most once per transfer
-            // per rail, like the pre-fix counter).
-            let entries = &mut self.rail_last[i];
-            if entries
-                .iter()
-                .any(|&(other, last_end)| other != job && start < last_end)
-            {
-                self.overlaps[i] += 1;
-            }
-            match entries.iter_mut().find(|(other, _)| *other == job) {
-                Some(entry) => entry.1 = entry.1.max(end),
-                None => entries.push((job, end)),
-            }
-            for circuit in config.circuits() {
-                for port in [circuit.a(), circuit.b()] {
-                    let slot = &mut self.port_owner[port.dense_index(self.ports_per_gpu)];
-                    if *slot != NO_JOB && *slot != job {
-                        self.port_takeovers += 1;
-                    }
-                    *slot = job;
-                }
-            }
-        }
-    }
-
-    /// The earliest time at or after `now` when every rail `circuits` needs is up.
-    /// Only called when the timeline contains failures.
-    ///
-    /// # Panics
-    /// Panics when a needed rail is down with no scheduled recovery — the job could
-    /// never finish, which makes the scenario unsatisfiable.
-    fn outage_gate(
-        &self,
-        circuits: &GroupCircuits,
-        now: SimTime,
-        job: JobId,
-        label: LabelId,
-    ) -> SimTime {
-        let mut gated = now;
-        for &rail in circuits.per_rail.keys() {
-            if let Some(avail) = self.health.available_from(rail) {
-                assert!(
-                    avail != SimTime::MAX,
-                    "{job} task {label} needs {rail}, which failed with no scheduled \
-                     recovery — the scenario timeline is unsatisfiable"
-                );
-                gated = gated.max(avail);
-            }
-        }
-        gated
-    }
-}
-
-/// Nearest-rank 99th percentile of request latencies (sorts in place). `None` for an
-/// empty set — training jobs serve no requests.
-fn p99(latencies: &mut [SimDuration]) -> Option<SimDuration> {
-    if latencies.is_empty() {
-        return None;
-    }
-    latencies.sort_unstable();
-    let idx = (latencies.len() * 99).div_ceil(100) - 1;
-    Some(latencies[idx])
-}
-
 /// The built, runnable scenario. `pub(crate)` so the single-job
 /// [`OpusSimulator`](crate::OpusSimulator) wrapper can drive it directly.
 pub(crate) struct ScenarioSim {
@@ -729,463 +508,6 @@ pub(crate) struct ScenarioSim {
 }
 
 impl ScenarioSim {
-    /// Builds every job context and the shared fleet state.
-    pub(crate) fn build(spec: ScenarioSpec) -> ScenarioSim {
-        let ScenarioSpec {
-            cluster,
-            jobs,
-            injections,
-        } = spec;
-        assert!(!jobs.is_empty(), "a scenario needs at least one job");
-        // The DAG builder that ran before us freed its scratch into the
-        // allocator's bins; release it so setup's own tables (circuit pool,
-        // dependents CSR, task columns) don't stack on top of dead pages.
-        railsim_workload::release_free_heap();
-        assert!(
-            jobs.len() <= u16::MAX as usize,
-            "a scenario carries the job index in a u16 event field; {} jobs exceed it",
-            jobs.len()
-        );
-        assert!(
-            injections.len() <= u32::MAX as usize,
-            "a scenario carries the injection index in a u32 event field; {} injections \
-             exceed it",
-            injections.len()
-        );
-        let gpus_per_node = cluster.gpus_per_node().max(1);
-
-        // Sort the timeline by time (declaration order breaks ties) and precompute
-        // every RailDown's scheduled recovery.
-        let mut timeline: Vec<Injection> = {
-            let mut indexed: Vec<(usize, SimTime, ScenarioEvent)> = injections
-                .into_iter()
-                .enumerate()
-                .map(|(i, (at, e))| (i, at, e))
-                .collect();
-            indexed.sort_by_key(|&(i, at, _)| (at, i));
-            indexed
-                .into_iter()
-                .map(|(_, at, event)| Injection {
-                    at,
-                    event,
-                    recover_at: None,
-                })
-                .collect()
-        };
-        for i in 0..timeline.len() {
-            if let ScenarioEvent::RailDown(rail) = timeline[i].event {
-                timeline[i].recover_at = timeline[i + 1..]
-                    .iter()
-                    .find(|inj| inj.event == ScenarioEvent::RailUp(rail))
-                    .map(|inj| inj.at);
-            }
-            match timeline[i].event {
-                ScenarioEvent::RailDown(rail)
-                | ScenarioEvent::RailUp(rail)
-                | ScenarioEvent::OcsDegraded { rail, .. } => {
-                    assert!(
-                        rail.0 < cluster.num_rails(),
-                        "injected event on {rail}, but the cluster only has {} rails",
-                        cluster.num_rails()
-                    );
-                }
-                ScenarioEvent::JobArrival { job } => {
-                    assert!(
-                        job.index() < jobs.len(),
-                        "JobArrival for {job}, but only {} jobs are declared",
-                        jobs.len()
-                    );
-                    assert!(
-                        jobs[job.index()].serving.is_none(),
-                        "JobArrival targets {job}, a serving job — serving jobs start on \
-                         their first RequestBurst instead"
-                    );
-                }
-                ScenarioEvent::RequestBurst { job, requests } => {
-                    assert!(
-                        job.index() < jobs.len(),
-                        "RequestBurst for {job}, but only {} jobs are declared",
-                        jobs.len()
-                    );
-                    assert!(requests > 0, "a RequestBurst carries at least one request");
-                    assert!(
-                        jobs[job.index()].serving.is_some(),
-                        "RequestBurst targets {job}, which is not a serving job"
-                    );
-                }
-                ScenarioEvent::JobGrow { job } | ScenarioEvent::JobShrink { job } => {
-                    assert!(
-                        job.index() < jobs.len(),
-                        "grow/shrink for {job}, but only {} jobs are declared",
-                        jobs.len()
-                    );
-                    assert!(
-                        jobs[job.index()].serving.is_some(),
-                        "grow/shrink targets {job}, which is not a serving job"
-                    );
-                }
-            }
-        }
-        let faults = timeline
-            .iter()
-            .any(|inj| matches!(inj.event, ScenarioEvent::RailDown(_)));
-        let arriving: Vec<bool> = (0..jobs.len())
-            .map(|j| {
-                timeline.iter().any(|inj| {
-                    matches!(inj.event, ScenarioEvent::JobArrival { job } if job.index() == j)
-                })
-            })
-            .collect();
-        for (j, job_spec) in jobs.iter().enumerate() {
-            if job_spec.serving.is_some() {
-                let fed = timeline.iter().any(|inj| {
-                    matches!(inj.event,
-                        ScenarioEvent::RequestBurst { job, .. } if job.index() == j)
-                });
-                assert!(
-                    fed,
-                    "job{j} is a serving job but the timeline delivers it no RequestBurst \
-                     — it would never start"
-                );
-            }
-        }
-
-        // Place and rebase the jobs. Job 0 keeps offset 0 / group-id offset 0 under
-        // automatic placement, so a single-job scenario is bit-for-bit the classic
-        // simulator (`rebase(0, 0)` is a plain clone).
-        let mut contexts = Vec::with_capacity(jobs.len());
-        let mut next_free_gpu = 0u32;
-        let mut next_group_id = 0u32;
-        let mut optical_latency: Option<SimDuration> = None;
-        let mut optical_eviction: Option<EvictionPolicy> = None;
-        for (j, spec) in jobs.into_iter().enumerate() {
-            spec.dag.validate().expect("training DAG must be valid");
-            assert!(
-                spec.config.iterations > 0,
-                "job{j} must simulate at least one iteration"
-            );
-            if let Some(serving) = &spec.serving {
-                assert!(
-                    serving.is_valid(),
-                    "job{j}'s serving spec is inconsistent: {serving:?}"
-                );
-                assert_eq!(
-                    serving.replicas * serving.gpus_per_replica,
-                    spec.dag.max_rank() + 1,
-                    "job{j}'s serving spec must cover the DAG's world size"
-                );
-            }
-            let gpu_offset = match spec.placement {
-                JobPlacement::Auto => next_free_gpu.div_ceil(gpus_per_node) * gpus_per_node,
-                JobPlacement::AtGpu(offset) => offset,
-            };
-            let max_rank = spec.dag.max_rank();
-            assert!(
-                gpu_offset + max_rank < cluster.num_gpus(),
-                "job{j} places rank {max_rank} at GPU {} but the cluster only has {} GPUs",
-                gpu_offset + max_rank,
-                cluster.num_gpus()
-            );
-            let group_offset = if j == 0 { 0 } else { next_group_id };
-            // Share the template straight in when no rebase is needed — an `Arc`
-            // clone, so a fleet of scenarios built from one template never
-            // deep-clones a (potentially 100k-GPU, multi-million-task) arena.
-            let dag = if gpu_offset == 0 && group_offset == 0 {
-                spec.dag
-            } else {
-                Arc::new(spec.dag.rebase(gpu_offset, group_offset))
-            };
-            next_free_gpu = next_free_gpu.max(gpu_offset + max_rank + 1);
-            next_group_id = next_group_id.max(dag.groups.keys().next_back().map_or(0, |g| g.0 + 1));
-            if spec.config.policy.is_optical() {
-                let latency = spec.config.reconfig_latency;
-                match optical_latency {
-                    None => optical_latency = Some(latency),
-                    Some(existing) => assert_eq!(
-                        existing, latency,
-                        "all optical jobs of a scenario must agree on the OCS \
-                         reconfiguration latency (the fabric is shared)"
-                    ),
-                }
-                match optical_eviction {
-                    None => optical_eviction = Some(spec.config.eviction),
-                    Some(existing) => assert_eq!(
-                        existing, spec.config.eviction,
-                        "all optical jobs of a scenario must agree on the eviction \
-                         policy (the controller is shared)"
-                    ),
-                }
-            }
-            contexts.push(Self::build_job(
-                &cluster,
-                JobId(j as u32),
-                gpu_offset,
-                dag,
-                spec.config,
-                arriving[j],
-                spec.serving,
-            ));
-        }
-
-        let backend = match optical_latency {
-            Some(latency) => {
-                let mut controller = Box::new(OpusController::new(OpticalRailFabric::for_cluster(
-                    &cluster, latency,
-                )));
-                if let Some(policy) = optical_eviction.filter(|p| p.can_evict()) {
-                    controller.set_eviction(policy, contexts.len() as u32);
-                    // Evictions make the shared port state policy-dependent mid-run;
-                    // the memo's shifted-replay proof no longer holds.
-                    for ctx in &mut contexts {
-                        ctx.memo.enabled = false;
-                    }
-                }
-                SharedBackend::Optical {
-                    controller,
-                    electrical: ElectricalRailFabric::for_cluster(&cluster),
-                }
-            }
-            None => SharedBackend::Electrical(ElectricalRailFabric::for_cluster(&cluster)),
-        };
-        let num_rails = cluster.num_rails() as usize;
-        let multi_job = contexts.len() > 1;
-        if multi_job {
-            // Jobs share the fabric, so one job's own iterations cannot witness
-            // steady state: another job's transfers move the shared port occupancy
-            // and circuit set under it at any time. Multi-job scenarios therefore
-            // always step naively — the sanctioned graceful degradation.
-            for ctx in &mut contexts {
-                ctx.memo.enabled = false;
-            }
-        }
-        let dense_ports = if multi_job {
-            cluster.num_gpus() as usize * cluster.ports_per_gpu() as usize
-        } else {
-            0
-        };
-        let fleet = Fleet {
-            backend,
-            health: RailHealth::new(num_rails),
-            faults,
-            multi_job,
-            port_owner: vec![NO_JOB; dense_ports],
-            ports_per_gpu: cluster.ports_per_gpu(),
-            rail_busy: vec![SimDuration::ZERO; num_rails],
-            rail_last: vec![Vec::new(); num_rails],
-            overlaps: vec![0; num_rails],
-            port_takeovers: 0,
-            injections_applied: 0,
-        };
-
-        // Setup is the RSS high-water mark of a run: the builder's churn is all
-        // freed by now, but the allocator keeps it resident unless asked.
-        railsim_workload::release_free_heap();
-
-        ScenarioSim {
-            cluster,
-            jobs: contexts,
-            fleet,
-            injections: timeline,
-            makespan: SimTime::ZERO,
-        }
-    }
-
-    /// Builds one job's context (the tables the classic simulator built globally).
-    #[allow(clippy::too_many_arguments)]
-    fn build_job(
-        cluster: &Cluster,
-        job: JobId,
-        gpu_offset: u32,
-        dag: Arc<TrainingDag>,
-        config: OpusConfig,
-        arrives_via_event: bool,
-        serving: Option<ServingSpec>,
-    ) -> JobContext {
-        let group_table = GroupTable::build(cluster, dag.groups.values());
-        let planner = CircuitPlanner::for_cluster(cluster);
-        let (circuit_pool, task_circuit_slot) =
-            Self::plan_task_circuits(cluster, &dag, &group_table, &planner);
-        let (dependents_off, dependents, dep_counts) = Self::build_dependents(&dag);
-        let rng = SimRng::new(config.seed);
-        let n = dag.tasks.len();
-        // Inference replicas share no tasks, so a task's replica is simply its first
-        // participant's slice of the job's GPU range.
-        let task_replica: Vec<u32> = match &serving {
-            Some(s) => dag
-                .tasks
-                .iter()
-                .map(|task| (task.participants.first().0 - gpu_offset) / s.gpus_per_replica)
-                .collect(),
-            None => Vec::new(),
-        };
-        let is_training = serving.is_none();
-        // Condense last: every structural consumer above has run, so the DAG's
-        // dependency edges and groups are no longer needed. A uniquely-owned DAG is
-        // drained chunk-by-chunk (freeing ~90M `deps` vectors at the 1M-GPU scale
-        // *before* the run allocates its live state); a template still shared with
-        // other scenario variants is condensed by column clone and left alive.
-        let tasks = match Arc::try_unwrap(dag) {
-            Ok(owned) => TaskTable::from_owned(owned),
-            Err(shared) => TaskTable::from_shared(&shared),
-        };
-        JobContext {
-            job,
-            gpu_offset,
-            tasks,
-            dep_counts,
-            config,
-            circuit_pool,
-            task_circuit_slot,
-            dependents_off,
-            dependents,
-            shim: OpusShim::new(),
-            rng,
-            arrives_via_event,
-            active: serving.as_ref().map_or(0, |s| s.initial_replicas),
-            pending_active: serving.as_ref().map_or(0, |s| s.initial_replicas),
-            serving_started: false,
-            serving_idle: false,
-            backlog: VecDeque::new(),
-            request_latencies: Vec::new(),
-            requests_completed: 0,
-            task_replica,
-            serving,
-            iteration: 0,
-            iter_start: SimTime::ZERO,
-            remaining: Vec::with_capacity(n),
-            finish: vec![SimTime::ZERO; n],
-            comm_records: Vec::new(),
-            reconfig_events: Vec::new(),
-            total_circuit_wait: SimDuration::ZERO,
-            done_left: 0,
-            completed: Vec::new(),
-            memo: MemoState {
-                // Jitter must be inert: a drawing RNG makes every iteration unique
-                // *and* replay would have to reproduce the stream's advancement.
-                // Serving jobs iterate on demand, not a steady cycle. `build`
-                // additionally disables the memo for multi-job scenarios.
-                enabled: config.memoize_steady_state && config.jitter_inert() && is_training,
-                template: None,
-                counters_at_finish: (0, 0),
-                last_delta: None,
-                template_delta: (0, 0),
-                template_slots: Vec::new(),
-                min_pair: 1,
-                fast_forwarded: 0,
-            },
-            degraded_slots: 0,
-            degraded_since: None,
-            time_under_degraded_plan: SimDuration::ZERO,
-            replan_reconfigs: 0,
-            degraded_iterations: 0,
-            iter_degraded: false,
-        }
-    }
-
-    /// Builds the reverse dependency edges in CSR layout plus the per-task indegree
-    /// (`(offsets, edges, dep_counts)`). The indegrees are the only thing the run
-    /// ever needs the forward `deps` edges for, so capturing them here lets the task
-    /// arena be dropped right after this pass.
-    fn build_dependents(dag: &TrainingDag) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-        let n = dag.tasks.len();
-        let mut counts = vec![0u32; n + 1];
-        let mut dep_counts = vec![0u32; n];
-        for task in &dag.tasks {
-            dep_counts[task.id.0 as usize] = task.deps.len() as u32;
-            for dep in &task.deps {
-                counts[dep.0 as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts;
-        let mut cursor = offsets.clone();
-        let mut edges = vec![0u32; offsets[n] as usize];
-        for task in &dag.tasks {
-            for dep in &task.deps {
-                let c = &mut cursor[dep.0 as usize];
-                edges[*c as usize] = task.id.0;
-                *c += 1;
-            }
-        }
-        (offsets, edges, dep_counts)
-    }
-
-    /// Plans the circuit demand of every communication task, deduplicated into one
-    /// [`CircuitSlot`] per communication group (plus one per ad-hoc point-to-point
-    /// pair that belongs to no group). Returns the pool and the per-task slot index.
-    fn plan_task_circuits(
-        cluster: &Cluster,
-        dag: &TrainingDag,
-        table: &GroupTable,
-        planner: &CircuitPlanner,
-    ) -> (Vec<CircuitSlot>, Vec<u32>) {
-        // Groups partition the ranks of each axis, so `(axis, rank) -> group` is a
-        // function; index it once instead of scanning every group per point-to-point
-        // task (the scan was quadratic at the 10k-GPU scale: #p2p tasks x #groups).
-        let mut member_group: HashMap<(ParallelismAxis, GpuId), GroupId> = HashMap::new();
-        for g in dag.groups.values() {
-            for rank in &g.ranks {
-                member_group.insert((g.axis, *rank), g.id);
-            }
-        }
-        let mut pool: Vec<CircuitSlot> = Vec::new();
-        let mut slot_of_group: HashMap<GroupId, u32> = HashMap::new();
-        let mut task_slot = vec![NO_SLOT; dag.tasks.len()];
-        let mut group_slot = |pool: &mut Vec<CircuitSlot>, id: GroupId| -> u32 {
-            *slot_of_group.entry(id).or_insert_with(|| {
-                let circuits = table
-                    .circuits(id)
-                    .expect("communication group must be registered")
-                    .clone();
-                let slot = pool.len() as u32;
-                pool.push(CircuitSlot {
-                    group: id,
-                    group_size: dag.groups[&id].size() as u32,
-                    circuits,
-                    pristine: None,
-                });
-                slot
-            })
-        };
-        for task in dag.communication_tasks() {
-            let slot = match &task.kind {
-                TaskKind::Collective { group, .. } => group_slot(&mut pool, *group),
-                TaskKind::PointToPoint { src, dst, axis, .. } => {
-                    // A point-to-point transfer uses the circuits of the communication
-                    // group it belongs to (circuit allocation is per group, §5): find
-                    // the group on the same axis containing both endpoints, or fall
-                    // back to planning an ad-hoc pair.
-                    let group = member_group
-                        .get(&(*axis, *src))
-                        .filter(|id| member_group.get(&(*axis, *dst)) == Some(id));
-                    match group {
-                        Some(&id) => group_slot(&mut pool, id),
-                        None => {
-                            let pseudo = CommGroup::new(
-                                GroupId(u32::MAX - task.id.0),
-                                *axis,
-                                vec![*src, *dst],
-                            );
-                            let slot = pool.len() as u32;
-                            pool.push(CircuitSlot {
-                                group: pseudo.id,
-                                group_size: 2,
-                                circuits: planner.plan(cluster, &pseudo),
-                                pristine: None,
-                            });
-                            slot
-                        }
-                    }
-                }
-                TaskKind::Compute { .. } => unreachable!("communication_tasks filters compute"),
-            };
-            task_slot[task.id.0 as usize] = slot;
-        }
-        (pool, task_slot)
-    }
-
     /// One job's shim.
     pub(crate) fn job_shim(&self, job: usize) -> &OpusShim {
         &self.jobs[job].shim
@@ -1363,257 +685,6 @@ impl ScenarioSim {
         ScenarioResult { jobs, fleet }
     }
 
-    /// Resets job `j`'s per-iteration state and schedules its root tasks at `at`.
-    fn start_iteration(&mut self, j: usize, at: SimTime, engine: &mut Engine<SimEvent>) {
-        let ctx = &mut self.jobs[j];
-        ctx.iter_start = at;
-        ctx.iter_degraded = ctx.degraded_slots > 0;
-        ctx.remaining.clear();
-        ctx.remaining.extend_from_slice(&ctx.dep_counts);
-        ctx.finish.fill(SimTime::ZERO);
-        if ctx.serving.is_some() {
-            // Snapshot the elastic size for this iteration and mask out every task
-            // of a replica at or beyond it (replicas share no tasks, so a masked
-            // replica is a closed subgraph — none of its tasks are reachable from
-            // an unmasked root).
-            ctx.active = ctx.pending_active;
-            let active = ctx.active;
-            ctx.done_left = ctx.task_replica.iter().filter(|&&r| r < active).count();
-            debug_assert!(
-                ctx.done_left > 0,
-                "a serving iteration must run at least one replica"
-            );
-            for (i, &indegree) in ctx.dep_counts.iter().enumerate() {
-                if indegree == 0 && ctx.task_replica[i] < active {
-                    engine.schedule_at(at, SimEvent::Ready(j as u16, TaskId(i as u32)));
-                }
-            }
-        } else {
-            ctx.done_left = ctx.tasks.len();
-            for (i, &indegree) in ctx.dep_counts.iter().enumerate() {
-                if indegree == 0 {
-                    engine.schedule_at(at, SimEvent::Ready(j as u16, TaskId(i as u32)));
-                }
-            }
-        }
-    }
-
-    /// Finalizes job `j`'s just-completed iteration and starts the next one (or
-    /// retires the job).
-    fn finish_iteration(&mut self, j: usize, engine: &mut Engine<SimEvent>) {
-        let ScenarioSim { jobs, fleet, .. } = &mut *self;
-        let ctx = &mut jobs[j];
-        debug_assert!(
-            ctx.remaining
-                .iter()
-                .enumerate()
-                .all(|(i, &r)| r == 0
-                    || (ctx.serving.is_some() && ctx.task_replica[i] >= ctx.active)),
-            "every unmasked task must have executed"
-        );
-        let start = ctx.iter_start;
-        let end = ctx.finish.iter().copied().max().unwrap_or(start).max(start);
-        let mut comm_records = std::mem::take(&mut ctx.comm_records);
-        comm_records.sort_by_key(|r| (r.issued_at, r.task));
-        let result = IterationResult {
-            iteration: ctx.iteration,
-            iteration_time: end.duration_since(start),
-            started_at: start,
-            comm_records,
-            reconfig_events: std::mem::take(&mut ctx.reconfig_events),
-            total_circuit_wait: ctx.total_circuit_wait,
-        };
-        ctx.total_circuit_wait = SimDuration::ZERO;
-        ctx.completed.push(result);
-        if ctx.iter_degraded {
-            ctx.degraded_iterations += 1;
-        }
-        if ctx.iteration == 0 {
-            ctx.shim.finish_profiling();
-        }
-        ctx.iteration += 1;
-        if let Some(spec) = ctx.serving {
-            // Retire the oldest requests this iteration's active batch capacity
-            // covers, then keep iterating while the backlog holds more — or go
-            // idle until the next burst.
-            let capacity = spec.batch_capacity as usize * ctx.active as usize;
-            for _ in 0..capacity.min(ctx.backlog.len()) {
-                let arrived = ctx.backlog.pop_front().expect("len checked");
-                ctx.request_latencies.push(end.duration_since(arrived));
-                ctx.requests_completed += 1;
-            }
-            if ctx.backlog.is_empty() {
-                ctx.serving_idle = true;
-            } else {
-                self.start_iteration(j, end, engine);
-            }
-            return;
-        }
-        // Steady-state detection: an exact byte-comparison of the just-committed
-        // timeline against its predecessor's, shifted by the iteration period, plus
-        // a repeat of the controller's request-counter delta. Both members of the
-        // pair must postdate the profiling iteration and the last applied injection
-        // (`min_pair`); see [`MemoState`] for why a match makes every later
-        // unperturbed iteration a shifted replay.
-        if ctx.memo.enabled {
-            let counters = fleet
-                .backend
-                .controller()
-                .map_or((0, 0), |c| (c.requests(), c.noop_requests()));
-            let delta = (
-                counters.0 - ctx.memo.counters_at_finish.0,
-                counters.1 - ctx.memo.counters_at_finish.1,
-            );
-            if ctx.memo.template.is_none() && ctx.completed.len() >= 2 {
-                let m = ctx.completed.len() - 1;
-                if (m - 1) as u32 >= ctx.memo.min_pair
-                    && ctx.memo.last_delta == Some(delta)
-                    && ctx.completed[m].shifted_replay_of(&ctx.completed[m - 1])
-                {
-                    // The replay re-performs the template's installs; resolve each
-                    // event's circuits to its pool slot once, up front.
-                    ctx.memo.template_slots = ctx.completed[m]
-                        .reconfig_events
-                        .iter()
-                        .map(|ev| {
-                            ctx.circuit_pool
-                                .iter()
-                                .position(|slot| slot.group == ev.group)
-                                .expect("a logged reconfiguration names a pooled group")
-                                as u32
-                        })
-                        .collect();
-                    ctx.memo.template = Some(m);
-                    ctx.memo.template_delta = delta;
-                }
-            }
-            ctx.memo.counters_at_finish = counters;
-            ctx.memo.last_delta = Some(delta);
-        }
-        if ctx.iteration < ctx.config.iterations && !self.try_fast_forward(j, end, engine) {
-            self.start_iteration(j, end, engine);
-        }
-    }
-
-    /// Schedules job `j`'s next iteration as a memoized fast-forward when a
-    /// steady-state template exists and the replayed window `(at, at + period]` is
-    /// provably free of external events. Returns false when the iteration must be
-    /// stepped naively.
-    fn try_fast_forward(&mut self, j: usize, at: SimTime, engine: &mut Engine<SimEvent>) -> bool {
-        let ctx = &self.jobs[j];
-        let Some(template) = ctx.memo.template else {
-            return false;
-        };
-        let predicted_end = at + ctx.completed[template].iteration_time;
-        // Injections apply in timeline order, so the next unapplied one is the
-        // earliest. It must lie *strictly* beyond the predicted end: an external at
-        // exactly that time would commit before the replay event (externals carry
-        // the lowest sequence numbers) and could perturb same-instant task events
-        // the template baked in.
-        if let Some(next) = self.injections.get(self.fleet.injections_applied) {
-            if next.at <= predicted_end {
-                return false;
-            }
-        }
-        self.jobs[j].iter_start = at;
-        engine.schedule_at(predicted_end, SimEvent::FastForward(j as u16));
-        true
-    }
-
-    /// Commits one memoized fast-forward: emits the template iteration shifted to
-    /// start at the job's `iter_start`, replays the controller-side effects a naive
-    /// re-step would have had (port occupancy, request counters), and schedules the
-    /// next iteration (fast-forwarded again, or naively when an injection comes into
-    /// range). By the steady-state argument on [`MemoState`] the emitted result is
-    /// byte-identical to naive stepping — the determinism suites pin this.
-    fn commit_fast_forward(&mut self, j: usize, now: SimTime, engine: &mut Engine<SimEvent>) {
-        let ScenarioSim { jobs, fleet, .. } = self;
-        let ctx = &mut jobs[j];
-        let template = ctx
-            .memo
-            .template
-            .expect("a scheduled fast-forward has a template");
-        let template = &ctx.completed[template];
-        let shift = ctx.iter_start.duration_since(template.started_at);
-        debug_assert_eq!(
-            now,
-            ctx.iter_start + template.iteration_time,
-            "a fast-forward commits exactly at its predicted iteration end"
-        );
-        let comm_records: Vec<CommRecord> = template
-            .comm_records
-            .iter()
-            .map(|r| {
-                let mut rec = r.clone();
-                rec.issued_at += shift;
-                rec.start += shift;
-                rec.end += shift;
-                rec
-            })
-            .collect();
-        let reconfig_events: Vec<ReconfigEvent> = template
-            .reconfig_events
-            .iter()
-            .map(|ev| {
-                let mut ev = *ev;
-                ev.requested_at += shift;
-                ev.started_at += shift;
-                ev.ready_at += shift;
-                ev
-            })
-            .collect();
-        let iteration_time = template.iteration_time;
-        let total_circuit_wait = template.total_circuit_wait;
-        // Replay the controller-side state the re-stepped iteration would have left
-        // behind; it matters the moment an injection later breaks steadiness and the
-        // stateful request path resumes reading shared state. Port occupancy is a
-        // max-merge, so applying the recorded ends in bulk lands on exactly the
-        // per-event result. Each logged reconfiguration is re-performed against the
-        // fabric at its shifted start (the conflict wait is baked into `started_at`),
-        // advancing the matching cycle, per-circuit ready times, epoch and lifetime
-        // counters exactly as the naive iteration would have. Request counters move
-        // by the template's measured delta.
-        if let Some(controller) = fleet.backend.controller_mut() {
-            for (ev, &slot) in reconfig_events.iter().zip(&ctx.memo.template_slots) {
-                let config = &ctx.circuit_pool[slot as usize].circuits.per_rail[&ev.rail];
-                let ready = controller.replay_install(ev.rail, config, ev.started_at);
-                debug_assert_eq!(
-                    ready, ev.ready_at,
-                    "a replayed install must land on the template's ready time"
-                );
-            }
-            for rec in &comm_records {
-                if rec.scaleout && !rec.rails.is_empty() {
-                    let slot =
-                        &ctx.circuit_pool[ctx.task_circuit_slot[rec.task.0 as usize] as usize];
-                    controller.occupy(&slot.circuits, rec.end);
-                }
-            }
-            let (requests, noops) = ctx.memo.template_delta;
-            controller.replay_requests(requests, noops);
-            ctx.memo.counters_at_finish = (controller.requests(), controller.noop_requests());
-        }
-        ctx.completed.push(IterationResult {
-            iteration: ctx.iteration,
-            iteration_time,
-            started_at: ctx.iter_start,
-            comm_records,
-            reconfig_events,
-            total_circuit_wait,
-        });
-        ctx.memo.fast_forwarded += 1;
-        // A fast-forward replays a steady iteration under whatever plan was live when
-        // the template was recorded; swaps invalidate the memo, so the degraded state
-        // is constant across the whole replayed window.
-        if ctx.degraded_slots > 0 {
-            ctx.degraded_iterations += 1;
-        }
-        ctx.iteration += 1;
-        if ctx.iteration < ctx.config.iterations && !self.try_fast_forward(j, now, engine) {
-            self.start_iteration(j, now, engine);
-        }
-    }
-
     /// Applies one popped event: executes a job task, releases its dependents, or
     /// applies an injected external event.
     fn commit_event(&mut self, engine: &mut Engine<SimEvent>, now: SimTime, event: SimEvent) {
@@ -1674,438 +745,25 @@ impl ScenarioSim {
             SimEvent::FastForward(j) => self.commit_fast_forward(j as usize, now, engine),
         }
     }
+}
 
-    /// Applies one injected external event at its committed time.
-    fn apply_injection(&mut self, idx: usize, now: SimTime, engine: &mut Engine<SimEvent>) {
-        self.fleet.injections_applied += 1;
-        // Every external event invalidates steady-state memos: the template was
-        // recorded against the pre-event fabric, and the iteration the event landed
-        // in ran under a *changing* fabric, so it may not seed a new detection pair
-        // either. (A fast-forward in flight is impossible here — it is only
-        // scheduled when this injection lies strictly beyond its window.)
-        for ctx in &mut self.jobs {
-            if ctx.memo.enabled {
-                ctx.memo.template = None;
-                ctx.memo.min_pair = ctx.iteration + 1;
-            }
-        }
-        let Injection {
-            event, recover_at, ..
-        } = self.injections[idx];
-        match event {
-            ScenarioEvent::RailDown(rail) => {
-                self.fleet.health.fail(rail, now, recover_at);
-                if let Some(c) = self.fleet.backend.controller_mut() {
-                    c.rail_failed(rail);
-                }
-                self.replan_after_health_change(now);
-            }
-            ScenarioEvent::RailUp(rail) => {
-                // Overlapping outage pulses collapse into one outage, leaving the
-                // later `RailUp` with nothing to close — `recover` asserts on that.
-                if !self.fleet.health.is_up(rail) {
-                    self.fleet.health.recover(rail, now);
-                    self.replan_after_health_change(now);
-                }
-            }
-            ScenarioEvent::OcsDegraded {
-                rail,
-                reconfig_latency,
-            } => {
-                if let Some(c) = self.fleet.backend.controller_mut() {
-                    c.set_rail_reconfig_delay(rail, reconfig_latency);
-                }
-            }
-            ScenarioEvent::JobArrival { job } => {
-                let j = job.index();
-                assert!(
-                    self.jobs[j].arrives_via_event && self.jobs[j].iteration == 0,
-                    "{job} arrived twice"
-                );
-                self.start_iteration(j, now, engine);
-            }
-            ScenarioEvent::RequestBurst { job, requests } => {
-                let j = job.index();
-                let ctx = &mut self.jobs[j];
-                for _ in 0..requests {
-                    ctx.backlog.push_back(now);
-                }
-                // The first burst starts the job; a burst into an idle job resumes
-                // it. A busy job just absorbed the burst into its backlog — its
-                // in-flight iteration picks the requests up at its boundary.
-                if !ctx.serving_started || ctx.serving_idle {
-                    ctx.serving_started = true;
-                    ctx.serving_idle = false;
-                    self.start_iteration(j, now, engine);
-                }
-            }
-            ScenarioEvent::JobGrow { job } => {
-                let ctx = &mut self.jobs[job.index()];
-                let max = ctx.serving.expect("build validated the target").replicas;
-                ctx.pending_active = (ctx.pending_active + 1).min(max);
-            }
-            ScenarioEvent::JobShrink { job } => {
-                let ctx = &mut self.jobs[job.index()];
-                ctx.pending_active = ctx.pending_active.saturating_sub(1).max(1);
-            }
-        }
+/// Nearest-rank 99th percentile of request latencies (sorts in place). `None` for an
+/// empty set — training jobs serve no requests.
+fn p99(latencies: &mut [SimDuration]) -> Option<SimDuration> {
+    if latencies.is_empty() {
+        return None;
     }
-
-    /// Re-plans every `RecoveryPolicy::Replan` job's circuit demands against the rail
-    /// health that the just-committed injection left behind. Per slot, exactly one of
-    /// four transitions applies: nothing (pristine plan, all its rails up), *degrade*
-    /// (a rail under the pristine plan just failed: re-stripe its circuits onto
-    /// surviving rails via [`CircuitPlanner::replan_degraded`]), *re-stripe* (already
-    /// degraded and the healthy set changed again), or *restore* (every rail of the
-    /// pristine plan is back). Swapped-out circuits are withdrawn from the fabric and
-    /// the new plan is installed lazily by the group's next request, paying one
-    /// reconfiguration delay. Everything here runs at injection commit time, so the
-    /// swap is a deterministic function of the committed timeline.
-    fn replan_after_health_change(&mut self, now: SimTime) {
-        let ScenarioSim {
-            cluster,
-            jobs,
-            fleet,
-            ..
-        } = self;
-        if !jobs.iter().any(|c| {
-            c.config.recovery_policy == RecoveryPolicy::Replan && c.config.policy.is_optical()
-        }) {
-            return;
-        }
-        let healthy: Vec<RailId> = fleet.health.healthy_rails().collect();
-        let planner = CircuitPlanner::for_cluster(cluster);
-        for ctx in jobs.iter_mut() {
-            if ctx.config.recovery_policy != RecoveryPolicy::Replan
-                || !ctx.config.policy.is_optical()
-            {
-                continue;
-            }
-            let mut swapped = false;
-            for slot in &mut ctx.circuit_pool {
-                let pristine_hit = slot
-                    .pristine
-                    .as_deref()
-                    .unwrap_or(&slot.circuits)
-                    .per_rail
-                    .keys()
-                    .any(|&r| !fleet.health.is_up(r));
-                match (slot.pristine.is_some(), pristine_hit) {
-                    // The live plan is pristine and every rail it needs is up.
-                    (false, false) => {}
-                    // A rail under the pristine plan failed: degrade. The failed
-                    // rail's circuits are already gone (`rail_failed` cleared its
-                    // OCS) and the surviving rails' circuits are reused verbatim, so
-                    // nothing needs withdrawing; only the displaced circuits install
-                    // on the group's next request.
-                    (false, true) => {
-                        let degraded =
-                            planner.replan_degraded(cluster, &slot.circuits, healthy.clone());
-                        // An empty degraded plan would masquerade as scale-up-only
-                        // traffic; with no healthy rail to re-stripe onto, the group
-                        // stalls exactly like today.
-                        if degraded.is_scaleup_only() && !slot.circuits.is_scaleup_only() {
-                            continue;
-                        }
-                        slot.pristine =
-                            Some(Box::new(std::mem::replace(&mut slot.circuits, degraded)));
-                        ctx.replan_reconfigs += 1;
-                        swapped = true;
-                    }
-                    // Already degraded, and the healthy set changed again: re-stripe
-                    // against the current survivors (the round-robin targets shift
-                    // with the healthy list, so the plan may change even when the
-                    // event hit a rail this group never used).
-                    (true, true) => {
-                        let pristine = slot.pristine.as_deref().expect("matched is_some");
-                        let degraded = planner.replan_degraded(cluster, pristine, healthy.clone());
-                        if degraded == slot.circuits {
-                            continue;
-                        }
-                        if let Some(c) = fleet.backend.controller_mut() {
-                            c.withdraw(&slot.circuits);
-                        }
-                        slot.circuits = degraded;
-                        ctx.replan_reconfigs += 1;
-                        swapped = true;
-                    }
-                    // Every rail of the pristine plan is back: restore it. The
-                    // degraded circuits come down now; the pristine set reinstalls on
-                    // the next request, paying the reconfiguration delay once.
-                    (true, false) => {
-                        if let Some(c) = fleet.backend.controller_mut() {
-                            c.withdraw(&slot.circuits);
-                        }
-                        slot.circuits = *slot.pristine.take().expect("matched is_some");
-                        ctx.replan_reconfigs += 1;
-                        swapped = true;
-                    }
-                }
-            }
-            ctx.degraded_slots = ctx
-                .circuit_pool
-                .iter()
-                .filter(|s| s.pristine.is_some())
-                .count() as u32;
-            if ctx.degraded_slots > 0 {
-                if ctx.degraded_since.is_none() {
-                    ctx.degraded_since = Some(now);
-                }
-            } else if let Some(since) = ctx.degraded_since.take() {
-                ctx.time_under_degraded_plan = ctx
-                    .time_under_degraded_plan
-                    .saturating_add(now.duration_since(since));
-            }
-            if swapped {
-                ctx.iter_degraded = true;
-            }
-        }
-    }
-
-    /// The α–β cost parameters of a transfer class.
-    fn comm_params(
-        config: &OpusConfig,
-        cluster: &Cluster,
-        scaleout: bool,
-        offloaded: bool,
-    ) -> CostParams {
-        if offloaded {
-            let h = config.host_offload.expect("offloaded implies configured");
-            CostParams::new(h.alpha, h.bandwidth)
-        } else if scaleout {
-            // The paper's Fig. 8 assumes equal bandwidth on electrical and optical
-            // rails, so both policies see the full NIC bandwidth once connectivity
-            // exists.
-            CostParams::new(config.scaleout_alpha, cluster.spec().nic.total_bandwidth)
-        } else {
-            CostParams::new(config.scaleup_alpha, cluster.scaleup_bandwidth())
-        }
-    }
-
-    /// Executes one task of one job that became ready at `now`; returns its end time
-    /// and, for communication tasks, the record describing what happened.
-    fn execute_task(
-        ctx: &mut JobContext,
-        fleet: &mut Fleet,
-        cluster: &Cluster,
-        id: TaskId,
-        now: SimTime,
-    ) -> (SimTime, Option<CommRecord>) {
-        // Handles are `Copy`, so taking them out of the table costs nothing — the hot
-        // path never clones a label `String` or a participant `Vec` per event.
-        let kind = ctx.tasks.kind(id).clone();
-        let label = ctx.tasks.label(id);
-        let participants = ctx.tasks.participants(id);
-        match kind {
-            TaskKind::Compute { duration } => {
-                let jitter = ctx.rng.jitter(ctx.config.compute_jitter);
-                (now + duration.mul_f64(jitter), None)
-            }
-            TaskKind::Collective {
-                group,
-                kind,
-                axis,
-                bytes,
-            } => {
-                let record = Self::execute_comm(
-                    ctx,
-                    fleet,
-                    cluster,
-                    id,
-                    now,
-                    kind,
-                    axis,
-                    bytes,
-                    Some(group),
-                    label,
-                    participants,
-                );
-                (record.end, Some(record))
-            }
-            TaskKind::PointToPoint { axis, bytes, .. } => {
-                let record = Self::execute_comm(
-                    ctx,
-                    fleet,
-                    cluster,
-                    id,
-                    now,
-                    CollectiveKind::SendRecv,
-                    axis,
-                    bytes,
-                    None,
-                    label,
-                    participants,
-                );
-                (record.end, Some(record))
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute_comm(
-        ctx: &mut JobContext,
-        fleet: &mut Fleet,
-        cluster: &Cluster,
-        id: TaskId,
-        now: SimTime,
-        kind: CollectiveKind,
-        axis: ParallelismAxis,
-        bytes: railsim_sim::Bytes,
-        group: Option<GroupId>,
-        label: LabelId,
-        participants: RankSet,
-    ) -> CommRecord {
-        let iteration = ctx.iteration;
-        let config = &ctx.config;
-        let slot = &ctx.circuit_pool[ctx.task_circuit_slot[id.0 as usize] as usize];
-        let circuit_group = slot.group;
-        let circuits = &slot.circuits;
-        let group_size = if group.is_some() {
-            slot.group_size as usize
-        } else {
-            2
-        };
-        let scaleout = !circuits.is_scaleup_only();
-        // §5 extension: small, bursty collectives can bypass the optical rails and run
-        // over the host packet-switched network instead of triggering reconfigurations.
-        let offloaded = scaleout && config.host_offload.is_some_and(|h| bytes <= h.threshold);
-
-        // The shim intercepts every scale-out call that uses the rails; during the
-        // profiling iteration it records the per-rank group sequence.
-        if scaleout && !offloaded && iteration == 0 {
-            for rank in participants.ranks() {
-                ctx.shim.observe(*rank, circuit_group);
-            }
-        }
-
-        let mut params = Self::comm_params(config, cluster, scaleout, offloaded);
-        if scaleout && !offloaded {
-            params = slot.adjust_params(params);
-        }
-        let duration = collective_time(kind, config.scaleout_algorithm, group_size, bytes, &params);
-
-        // The outage gate: with rail failures in the timeline, a transfer that needs
-        // a down rail cannot start (electrical) or install circuits (optical) before
-        // the rail's scheduled recovery. Clean timelines skip the walk entirely.
-        let gated = if fleet.faults && scaleout && !offloaded {
-            fleet.outage_gate(circuits, now, ctx.job, label)
-        } else {
-            now
-        };
-
-        let optical = config.policy.is_optical();
-        let (start, circuit_wait, datapath_latency) = if !optical {
-            let fabric = fleet.backend.electrical();
-            // Every scale-out transfer pays the switch datapath latency — offloaded
-            // ones included (the host network also runs through packet switches;
-            // this matches the pre-redesign simulator byte for byte). Only the
-            // outage gate is rail-specific and skips offloaded traffic.
-            let latency = if scaleout {
-                fabric.datapath_latency()
-            } else {
-                SimDuration::ZERO
-            };
-            if scaleout && !offloaded {
-                (gated, gated.duration_since(now), latency)
-            } else {
-                (now, SimDuration::ZERO, latency)
-            }
-        } else {
-            let controller = fleet
-                .backend
-                .controller_mut()
-                .expect("optical job implies an optical backend");
-            if !scaleout || offloaded {
-                (now, SimDuration::ZERO, SimDuration::ZERO)
-            } else if let Some(ready) = controller.installed_ready_time(circuits) {
-                // The request is a no-op: the circuits are installed on every rail —
-                // which also implies every needed rail is up, because a failure tears
-                // its circuits down — so it resolves to `max(now, slowest circuit
-                // ready)`, found by one O(group circuits) walk.
-                controller.note_noop_request();
-                let start = ready.max(now);
-                (start, start.duration_since(now), SimDuration::ZERO)
-            } else {
-                // Not (fully) installed: the stateful reconfiguration path.
-                let provisioned = config.provisioning_active(iteration) && ctx.shim.can_provision();
-                let requested_at = if provisioned {
-                    // Speculative request: issued as soon as the previous traffic
-                    // on the affected circuits completed (Fig. 5b). Back-dating
-                    // further than one reconfiguration latency buys nothing (the
-                    // circuits would be ready before the collective is issued
-                    // anyway) but would tear down the old circuits earlier than
-                    // necessary, so the request time is clamped to
-                    // `issue time − reconfiguration latency`.
-                    let earliest_useful = SimTime::from_nanos(
-                        now.as_nanos()
-                            .saturating_sub(config.reconfig_latency.as_nanos()),
-                    );
-                    // Holds an active eviction policy would displace don't delay
-                    // the speculative request; falls back byte-identical to
-                    // `ports_free_at` under `EvictionPolicy::Never`.
-                    controller
-                        .ports_free_for(ctx.job.0, circuits)
-                        .max(earliest_useful)
-                } else {
-                    now
-                };
-                // A failed rail refuses installs until recovery; the request (however
-                // speculative) cannot start switching before the rail is back. With
-                // every rail up `gated == now`, and the clamp must NOT apply — a
-                // provisioned request is deliberately back-dated before `now`.
-                let requested_at = if gated > now {
-                    requested_at.max(gated)
-                } else {
-                    requested_at
-                };
-                let ready =
-                    controller.request_from(ctx.job.0, circuit_group, circuits, requested_at);
-                let start = ready.max(now);
-                (start, start.duration_since(now), SimDuration::ZERO)
-            }
-        };
-
-        let start = start + datapath_latency;
-        let end = start + duration;
-
-        if scaleout && !offloaded {
-            if optical {
-                if let Some(controller) = fleet.backend.controller_mut() {
-                    controller.occupy_for(ctx.job.0, circuits, end);
-                }
-            }
-            if fleet.multi_job {
-                fleet.note_transfer(ctx.job.0, circuits, start, end);
-            }
-        }
-
-        CommRecord {
-            task: id,
-            label,
-            axis,
-            kind,
-            group,
-            bytes,
-            scaleout,
-            // Offloaded traffic never touches the rails, so it carries no rail list and
-            // is invisible to the per-rail window/phase analysis — which is the point.
-            rails: if offloaded {
-                RailSet::EMPTY
-            } else {
-                circuits.rail_set()
-            },
-            issued_at: now,
-            start,
-            end,
-            circuit_wait,
-        }
-    }
+    latencies.sort_unstable();
+    let idx = (latencies.len() * 99).div_ceil(100) - 1;
+    Some(latencies[idx])
 }
 
 #[cfg(test)]
 mod tests {
+    use super::step::{SharedBackend, NO_JOB};
     use super::*;
-    use railsim_topology::{ClusterSpec, NodePreset};
+    use crate::config::{EvictionPolicy, RecoveryPolicy};
+    use railsim_topology::{ClusterSpec, ElectricalRailFabric, NodePreset, RailHealth};
     use railsim_workload::{ComputeModel, DagBuilder, GpuSpec, ModelConfig, ParallelismConfig};
 
     fn tiny_dag() -> TrainingDag {
