@@ -1,10 +1,9 @@
 //! Batch scenario evaluation and Monte Carlo capacity planning.
 //!
-//! One [`ScenarioSpec`](crate::ScenarioSpec) run answers one question; production
-//! questions are distributions — "P99 makespan under this rail-failure rate",
-//! "cheapest provisioning level that meets an SLO". Scenarios are embarrassingly
-//! parallel above the engine, so this module turns the simulator into a batch
-//! service:
+//! One [`ScenarioSpec`] run answers one question; production questions are
+//! distributions — "P99 makespan under this rail-failure rate", "cheapest
+//! provisioning level that meets an SLO". Scenarios are embarrassingly parallel above
+//! the engine, so this module turns the simulator into a batch service:
 //!
 //! * [`FleetService`] holds the construction-cached, immutably shared assets — the
 //!   cluster geometry and interned [`TrainingDag`] templates behind `Arc` — so a
