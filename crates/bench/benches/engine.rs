@@ -39,5 +39,38 @@ fn bench_engine_cascade(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_event_queue, bench_engine_cascade);
+fn bench_engine_same_instant_fanout(c: &mut Criterion) {
+    // The Done -> Ready shape of a scenario step: each "done" event readies four
+    // dependents at the same instant, and each ready task schedules its own "done" a
+    // few nanoseconds later, so half of the events go through the same-instant lane.
+    c.bench_function("engine_same_instant_fanout_100k", |b| {
+        b.iter(|| {
+            let mut engine: Engine<(bool, u64)> = Engine::new();
+            engine.schedule_at(SimTime::ZERO, (true, 0));
+            let mut count = 0u64;
+            let mut next = 1u64;
+            engine.run(|eng, _t, (done, id)| {
+                count += 1;
+                if done {
+                    for _ in 0..4 {
+                        if next < 100_000 {
+                            eng.schedule_now((false, next));
+                            next += 1;
+                        }
+                    }
+                } else {
+                    eng.schedule_after(SimDuration::from_nanos(10 + id % 7), (true, id));
+                }
+            });
+            black_box(count)
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_event_queue,
+    bench_engine_cascade,
+    bench_engine_same_instant_fanout
+);
 criterion_main!(benches);

@@ -7,8 +7,11 @@
 //!
 //! ```text
 //! fleet_sweep [--gpus 256] [--variants 100] [--workers N] [--iterations 2]
-//!             [--base-seed 42] [--verify-workers]
+//!             [--base-seed 42] [--verify-workers] [--help]
 //! ```
+//!
+//! `--help` prints the usage and exits 0; an unknown flag, a missing value or a bad
+//! number prints the usage to stderr and exits 2.
 //!
 //! * `--gpus` — cluster size (positive multiple of 64; DGX H200 nodes).
 //! * `--variants` — requested grid size; rounded up to a whole number of traces
@@ -30,6 +33,7 @@ use railsim_bench::{scaled_cluster_with_spare, scaled_dag, Report};
 use railsim_cost::{standard_points, GpuBackendCostModel};
 use railsim_sim::SimDuration;
 use serde::Serialize;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// The JSON payload of `results/fleet_frontier.json`.
@@ -46,34 +50,93 @@ struct FrontierReport {
     variants: Vec<VariantResult>,
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+const USAGE: &str = "usage: fleet_sweep [--gpus N] [--variants N] [--workers N] [--iterations N]
+                   [--base-seed N] [--verify-workers] [--help]
+
+  --gpus            cluster size, a positive multiple of 64 (default 256)
+  --variants        requested grid size, at least 1 (default 100)
+  --workers         worker threads, at least 1 (default: available parallelism)
+  --iterations      iterations per variant, at least 1 (default 2)
+  --base-seed       seed of the failure traces (default 42)
+  --verify-workers  re-run with 1 worker and assert identical results";
+
+/// The parsed command line.
+struct Args {
+    gpus: u32,
+    variants: usize,
+    /// `None`: use the available parallelism.
+    workers: Option<u32>,
+    iterations: u32,
+    base_seed: u64,
+    verify_workers: bool,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let num_gpus: u32 = arg_value(&args, "--gpus")
-        .map(|v| v.parse().expect("--gpus expects a number"))
-        .unwrap_or(256);
-    let requested_variants: usize = arg_value(&args, "--variants")
-        .map(|v| v.parse().expect("--variants expects a number"))
-        .unwrap_or(100);
-    let iterations: u32 = arg_value(&args, "--iterations")
-        .map(|v| v.parse().expect("--iterations expects a number"))
-        .unwrap_or(2);
-    let base_seed: u64 = arg_value(&args, "--base-seed")
-        .map(|v| v.parse().expect("--base-seed expects a number"))
-        .unwrap_or(42);
-    let workers: u32 = arg_value(&args, "--workers")
-        .map(|v| v.parse().expect("--workers expects a number"))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get() as u32)
-                .unwrap_or(1)
-        });
-    let verify_workers = args.iter().any(|a| a == "--verify-workers");
+/// Parses the command line. `Ok(None)` means `--help` was asked for; `Err` carries
+/// the reason an argument was rejected.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
+    let mut parsed = Args {
+        gpus: 256,
+        variants: 100,
+        workers: None,
+        iterations: 2,
+        base_seed: 42,
+        verify_workers: false,
+    };
+    let mut args = argv.into_iter();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+        let positive = |v: String| match v.parse::<u32>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("{arg} must be a positive integer, got {v:?}")),
+        };
+        match arg.as_str() {
+            "--help" => return Ok(None),
+            "--gpus" => {
+                parsed.gpus = match positive(value()?)? {
+                    n if n.is_multiple_of(64) => n,
+                    n => return Err(format!("--gpus must be a multiple of 64, got {n}")),
+                };
+            }
+            "--variants" => parsed.variants = positive(value()?)? as usize,
+            "--workers" => parsed.workers = Some(positive(value()?)?),
+            "--iterations" => parsed.iterations = positive(value()?)?,
+            "--base-seed" => {
+                let v = value()?;
+                parsed.base_seed = v
+                    .parse()
+                    .map_err(|_| format!("--base-seed must be an unsigned integer, got {v:?}"))?;
+            }
+            "--verify-workers" => parsed.verify_workers = true,
+            other => return Err(format!("unknown argument {other}")),
+        }
+    }
+    Ok(Some(parsed))
+}
+
+fn main() -> ExitCode {
+    let Args {
+        gpus: num_gpus,
+        variants: requested_variants,
+        workers,
+        iterations,
+        base_seed,
+        verify_workers,
+    } = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(reason) => {
+            eprintln!("fleet_sweep: {reason}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let workers = workers.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get() as u32)
+            .unwrap_or(1)
+    });
 
     // The provisioning ladder: electrical baseline + photonic points, priced by the
     // component catalog and the device-level tables.
@@ -239,4 +302,5 @@ fn main() {
             variants: report.variants,
         },
     );
+    ExitCode::SUCCESS
 }

@@ -363,6 +363,7 @@ impl ScenarioSim {
                 last_delta: None,
                 template_delta: (0, 0),
                 template_slots: Vec::new(),
+                template_occupancy: Vec::new(),
                 min_pair: 1,
                 fast_forwarded: 0,
             },

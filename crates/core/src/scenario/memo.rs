@@ -7,7 +7,7 @@ use super::{ScenarioSim, SimEvent};
 #[cfg(doc)]
 use crate::config::OpusConfig;
 use crate::metrics::{CommRecord, IterationResult, ReconfigEvent};
-use railsim_sim::{Engine, SimTime};
+use railsim_sim::{Engine, SimDuration, SimTime};
 
 /// Steady-state iteration memoization state of one job.
 ///
@@ -55,6 +55,11 @@ pub(super) struct MemoState {
     /// Per template reconfiguration event: the `circuit_pool` slot whose circuits the
     /// event installed, so the replay can re-perform the install without a search.
     pub(super) template_slots: Vec<u32>,
+    /// Per `circuit_pool` slot that carried scale-out traffic in the template: the
+    /// latest end of those transfers, relative to the template's start. Occupancy is
+    /// a max-merge, so occupying each slot once at this end, shifted, leaves the same
+    /// port state as occupying it at every record's end.
+    pub(super) template_occupancy: Vec<(u32, SimDuration)>,
     /// Earliest iteration index admissible as the *first* member of a detection
     /// pair. Starts at 1 (iteration 0 profiles: the shim observes, provisioning is
     /// still off) and moves past every iteration perturbed by an injection.
@@ -147,12 +152,13 @@ impl ScenarioSim {
         // Replay the controller-side state the re-stepped iteration would have left
         // behind; it matters the moment an injection later breaks steadiness and the
         // stateful request path resumes reading shared state. Port occupancy is a
-        // max-merge, so applying the recorded ends in bulk lands on exactly the
-        // per-event result. Each logged reconfiguration is re-performed against the
-        // fabric at its shifted start (the conflict wait is baked into `started_at`),
-        // advancing the matching cycle, per-circuit ready times, epoch and lifetime
-        // counters exactly as the naive iteration would have. Request counters move
-        // by the template's measured delta.
+        // max-merge and the shift is uniform, so occupying each slot once at its
+        // latest shifted transfer end lands on exactly the per-event result. Each
+        // logged reconfiguration is re-performed against the fabric at its shifted
+        // start (the conflict wait is baked into `started_at`), advancing the matching
+        // cycle, per-circuit ready times, epoch and lifetime counters exactly as the
+        // naive iteration would have. Request counters move by the template's
+        // measured delta.
         if let Some(controller) = fleet.backend.controller_mut() {
             for (ev, &slot) in reconfig_events.iter().zip(&ctx.memo.template_slots) {
                 let config = &ctx.circuit_pool[slot as usize].circuits.per_rail[&ev.rail];
@@ -162,12 +168,9 @@ impl ScenarioSim {
                     "a replayed install must land on the template's ready time"
                 );
             }
-            for rec in &comm_records {
-                if rec.scaleout && !rec.rails.is_empty() {
-                    let slot =
-                        &ctx.circuit_pool[ctx.task_circuit_slot[rec.task.0 as usize] as usize];
-                    controller.occupy(&slot.circuits, rec.end);
-                }
+            for &(slot, end) in &ctx.memo.template_occupancy {
+                let slot = &ctx.circuit_pool[slot as usize];
+                controller.occupy(&slot.circuits, ctx.iter_start + end);
             }
             let (requests, noops) = ctx.memo.template_delta;
             controller.replay_requests(requests, noops);

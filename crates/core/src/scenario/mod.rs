@@ -1126,6 +1126,49 @@ mod tests {
     }
 
     #[test]
+    fn memoized_runs_leave_the_naive_port_state() {
+        // The byte-identity test compares results; this compares the shared port
+        // occupancy a later injection would read, slot by slot.
+        for config in [
+            OpusConfig::provisioned(SimDuration::from_millis(5)),
+            OpusConfig::on_demand(SimDuration::from_millis(1)),
+        ] {
+            let config = OpusConfig {
+                iterations: 10,
+                compute_jitter: 0.0,
+                seed: 1,
+                ..config
+            };
+            let run = |config: OpusConfig| {
+                let mut sim = ScenarioSim::build(
+                    ScenarioSpec::new(tiny_cluster(4)).job(Arc::new(tiny_dag()), config),
+                );
+                sim.run_scenario();
+                sim
+            };
+            let memo = run(config);
+            let naive = run(OpusConfig {
+                memoize_steady_state: false,
+                ..config
+            });
+            assert!(memo.job_memoized_iterations(0) >= 1);
+            assert_eq!(naive.job_memoized_iterations(0), 0);
+            let (mc, nc) = (memo.controller().unwrap(), naive.controller().unwrap());
+            let pool = &memo.jobs[0].circuit_pool;
+            assert_eq!(pool.len(), naive.jobs[0].circuit_pool.len());
+            for (i, slot) in pool.iter().enumerate() {
+                assert_eq!(slot.group, naive.jobs[0].circuit_pool[i].group);
+                assert_eq!(
+                    mc.ports_free_at(&slot.circuits),
+                    nc.ports_free_at(&slot.circuits),
+                    "slot {i} ({:?})",
+                    slot.group
+                );
+            }
+        }
+    }
+
+    #[test]
     fn memoization_gates_on_the_knob_and_on_jitter() {
         let base = OpusConfig {
             iterations: 6,

@@ -285,6 +285,20 @@ impl ScenarioSim {
                                 as u32
                         })
                         .collect();
+                    let template = &ctx.completed[m];
+                    let mut latest: Vec<Option<SimDuration>> = vec![None; ctx.circuit_pool.len()];
+                    for rec in &template.comm_records {
+                        if rec.scaleout && !rec.rails.is_empty() {
+                            let slot = ctx.task_circuit_slot[rec.task.0 as usize] as usize;
+                            let end = rec.end.duration_since(template.started_at);
+                            latest[slot] = latest[slot].max(Some(end));
+                        }
+                    }
+                    ctx.memo.template_occupancy = latest
+                        .into_iter()
+                        .enumerate()
+                        .filter_map(|(slot, end)| Some((slot as u32, end?)))
+                        .collect();
                     ctx.memo.template = Some(m);
                     ctx.memo.template_delta = delta;
                 }

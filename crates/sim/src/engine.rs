@@ -6,9 +6,31 @@
 //! events "in the past": popping an event advances the clock to that event's timestamp,
 //! and scheduling an event before the current time is a logic error that panics in
 //! debug builds and is clamped to `now` in release builds.
+//!
+//! ## The same-instant lane
+//!
+//! Events are delivered in `(time, insertion sequence)` order. Most of a scenario's
+//! events are scheduled at the current instant (a finished task readies its dependents
+//! "now"), and sending each of them through the binary heap costs a push and a pop of
+//! `O(log n)` sift work. So an event scheduled at exactly `now` skips the heap and goes
+//! to a FIFO lane; [`Engine::pop`] serves, in this order,
+//!
+//! 1. heap events timestamped `now`,
+//! 2. the lane,
+//! 3. the heap (advancing the clock).
+//!
+//! This is exactly the `(time, seq)` order. Every lane event is timestamped `now`, and
+//! the clock does not advance while the lane is non-empty, because step 3 runs only
+//! once it is drained. A heap event timestamped `now` was scheduled while the clock was
+//! still *before* `now` (at `now` it would have gone to the lane), so it was inserted
+//! before every lane event and carries a smaller sequence number. Within the lane,
+//! FIFO is insertion order, and the heap keeps its own `(time, seq)` order. A clamped
+//! past event fires at `now` after everything already scheduled for `now`, in the lane,
+//! just as a fresh heap entry at `now` would.
 
 use crate::queue::{EventQueue, Scheduled};
 use crate::time::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// A minimal deterministic discrete-event simulation engine.
 ///
@@ -16,7 +38,12 @@ use crate::time::{SimDuration, SimTime};
 /// end-to-end example.
 #[derive(Debug)]
 pub struct Engine<E> {
+    /// Events timestamped after `now`, plus those scheduled for `now` while the clock
+    /// was still earlier.
     queue: EventQueue<E>,
+    /// Events scheduled while the clock was already at `now`, in insertion order (see
+    /// the module documentation for why this keeps the `(time, seq)` order).
+    lane: VecDeque<E>,
     now: SimTime,
     processed: u64,
     clamped: u64,
@@ -33,6 +60,7 @@ impl<E> Engine<E> {
     pub fn new() -> Self {
         Engine {
             queue: EventQueue::new(),
+            lane: VecDeque::new(),
             now: SimTime::ZERO,
             processed: 0,
             clamped: 0,
@@ -60,12 +88,12 @@ impl<E> Engine<E> {
 
     /// Number of events still pending.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.lane.len()
     }
 
     /// True when no events are pending.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
+        self.queue.is_empty() && self.lane.is_empty()
     }
 
     /// Schedules `event` at the absolute time `at`.
@@ -83,33 +111,50 @@ impl<E> Engine<E> {
         if at < self.now {
             self.clamped += 1;
         }
-        let at = at.max(self.now);
-        self.queue.push(at, event);
+        self.push(at.max(self.now), event);
     }
 
     /// Schedules `event` to fire `after` the current simulated time.
     pub fn schedule_after(&mut self, after: SimDuration, event: E) {
-        let at = self.now.saturating_add(after);
-        self.queue.push(at, event);
+        self.push(self.now.saturating_add(after), event);
     }
 
     /// Schedules `event` to fire immediately (at the current simulated time), after all
     /// events already scheduled for this instant.
     pub fn schedule_now(&mut self, event: E) {
-        self.queue.push(self.now, event);
+        self.lane.push_back(event);
+    }
+
+    /// Routes an event at `at >= now` to the lane or the heap.
+    fn push(&mut self, at: SimTime, event: E) {
+        if at == self.now {
+            self.lane.push_back(event);
+        } else {
+            self.queue.push(at, event);
+        }
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Scheduled { time, event, .. } = self.queue.pop()?;
-        self.now = time;
+        // Heap events at `now` precede the lane; see the module documentation.
+        let event = if !self.lane.is_empty() && self.queue.peek_time() != Some(self.now) {
+            self.lane.pop_front()?
+        } else {
+            let Scheduled { time, event, .. } = self.queue.pop()?;
+            self.now = time;
+            event
+        };
         self.processed += 1;
-        Some((time, event))
+        Some((self.now, event))
     }
 
     /// The timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        if self.lane.is_empty() {
+            self.queue.peek_time()
+        } else {
+            Some(self.now)
+        }
     }
 
     /// Runs the simulation to completion, invoking `handler` for every event.
@@ -195,6 +240,69 @@ mod tests {
         assert!(t2 >= t1);
         assert_eq!(engine.now(), SimTime::from_millis(10));
         assert!(engine.is_idle());
+    }
+
+    #[test]
+    fn lane_events_count_as_pending_and_peek_at_now() {
+        let mut engine = Engine::new();
+        engine.schedule_at(SimTime::from_millis(3), 0u32);
+        engine.pop();
+        assert!(engine.is_idle());
+        assert_eq!(engine.peek_time(), None);
+        engine.schedule_at(SimTime::from_millis(8), 1);
+        engine.schedule_now(2);
+        engine.schedule_after(SimDuration::ZERO, 3);
+        assert_eq!(engine.pending_events(), 3);
+        assert!(!engine.is_idle());
+        assert_eq!(engine.peek_time(), Some(SimTime::from_millis(3)));
+        assert_eq!(engine.pop(), Some((SimTime::from_millis(3), 2)));
+        assert_eq!(engine.pop(), Some((SimTime::from_millis(3), 3)));
+        assert_eq!(engine.peek_time(), Some(SimTime::from_millis(8)));
+        assert_eq!(engine.pending_events(), 1);
+        assert_eq!(engine.pop(), Some((SimTime::from_millis(8), 1)));
+        assert!(engine.is_idle());
+        assert_eq!(engine.processed_events(), 4);
+    }
+
+    #[test]
+    fn heap_events_at_now_precede_lane_events() {
+        let mut engine = Engine::new();
+        let t = SimTime::from_millis(5);
+        engine.schedule_at(t, "heap-a");
+        engine.schedule_at(t, "heap-b");
+        assert_eq!(engine.pop(), Some((t, "heap-a")));
+        // Scheduled at `now` after "heap-b" was queued, so it must fire after it.
+        engine.schedule_now("lane");
+        assert_eq!(engine.peek_time(), Some(t));
+        assert_eq!(engine.pop(), Some((t, "heap-b")));
+        assert_eq!(engine.pop(), Some((t, "lane")));
+        assert_eq!(engine.pop(), None);
+    }
+
+    #[test]
+    fn run_until_drains_lane_before_deadline_and_keeps_it_at_deadline() {
+        let mut engine = Engine::new();
+        engine.schedule_at(SimTime::from_millis(2), 0u32);
+        engine.schedule_at(SimTime::from_millis(5), 10);
+        let mut seen = Vec::new();
+        engine.run_until(SimTime::from_millis(5), |eng, _t, ev| {
+            seen.push(ev);
+            if ev < 3 {
+                eng.schedule_now(ev + 1);
+            }
+        });
+        assert_eq!(seen, vec![0, 1, 2, 3]);
+        assert_eq!(engine.now(), SimTime::from_millis(2));
+        assert_eq!(engine.pending_events(), 1);
+
+        // Lane events at exactly the deadline stay pending.
+        let mut engine = Engine::new();
+        engine.schedule_at(SimTime::from_millis(4), 0u32);
+        engine.pop();
+        engine.schedule_now(1);
+        engine.run_until(SimTime::from_millis(4), |_, _, _| panic!("at the deadline"));
+        assert_eq!(engine.pending_events(), 1);
+        assert_eq!(engine.peek_time(), Some(SimTime::from_millis(4)));
     }
 
     #[test]

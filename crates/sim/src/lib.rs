@@ -17,7 +17,8 @@
 //! event queue with a `(time, sequence)` total order is both simpler and stricter than
 //! task-based concurrency. (This mirrors the "simplicity and robustness over tricks"
 //! philosophy of event-driven network stacks such as smoltcp.) Each simulation runs
-//! sequentially on one heap; callers that want parallelism run independent
+//! sequentially on one queue (the heap, plus a FIFO lane for events scheduled at the
+//! current instant; see [`engine`]); callers that want parallelism run independent
 //! simulations side by side instead.
 //!
 //! ## Quick example

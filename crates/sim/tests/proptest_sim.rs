@@ -51,6 +51,53 @@ proptest! {
     }
 
     #[test]
+    fn engine_lane_pops_in_event_queue_order(
+        initial in proptest::collection::vec(0u64..50u64, 1..20),
+        spawns in proptest::collection::vec((0u64..4u64, 0u64..3u64), 0..200),
+    ) {
+        // Each handled event spawns up to two children, all either at the same
+        // instant (delay 0, the lane) or later (the heap). The reference delivers the
+        // same schedule through a bare `EventQueue`, whose `(time, seq)` order is the
+        // contract the engine's lane must keep.
+        let spawn = |k: usize| spawns.get(k).copied();
+        let mut engine: Engine<usize> = Engine::new();
+        let mut reference: EventQueue<usize> = EventQueue::new();
+        for (i, &t) in initial.iter().enumerate() {
+            engine.schedule_at(SimTime::from_nanos(t), i);
+            reference.push(SimTime::from_nanos(t), i);
+        }
+        let mut next_id = initial.len();
+        let mut got = Vec::new();
+        let mut k = 0usize;
+        engine.run(|eng, _t, ev| {
+            got.push((eng.now(), ev));
+            if let Some((delay, fanout)) = spawn(k) {
+                for _ in 0..fanout {
+                    eng.schedule_after(SimDuration::from_nanos(delay), next_id);
+                    next_id += 1;
+                }
+            }
+            k += 1;
+        });
+        let mut expected = Vec::new();
+        let mut next_id = initial.len();
+        let mut k = 0usize;
+        while let Some(s) = reference.pop() {
+            expected.push((s.time, s.event));
+            if let Some((delay, fanout)) = spawn(k) {
+                for _ in 0..fanout {
+                    reference.push(s.time + SimDuration::from_nanos(delay), next_id);
+                    next_id += 1;
+                }
+            }
+            k += 1;
+        }
+        prop_assert_eq!(got, expected);
+        prop_assert!(engine.is_idle());
+        prop_assert_eq!(engine.clamped_events(), 0);
+    }
+
+    #[test]
     fn event_queue_len_tracks_pushes_and_pops(times in proptest::collection::vec(0u64..1_000u64, 0..100)) {
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {

@@ -105,9 +105,11 @@ impl CircuitConfig {
         self.circuits.is_empty()
     }
 
-    /// All distinct ports used by this configuration.
-    pub fn ports(&self) -> BTreeSet<PortId> {
-        self.circuits.iter().flat_map(|c| [c.a(), c.b()]).collect()
+    /// Every port used by this configuration, each exactly once ([`CircuitConfig::new`]
+    /// rejects a port used twice), in circuit order. Allocation-free, for the per-event
+    /// port walks of the controller.
+    pub fn ports(&self) -> impl Iterator<Item = PortId> + '_ {
+        self.circuits.iter().flat_map(|c| [c.a(), c.b()])
     }
 
     /// True when the configuration contains a circuit between the two GPUs.

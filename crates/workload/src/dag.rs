@@ -232,31 +232,51 @@ impl TrainingDag {
 
     /// A topological order of the tasks, or `None` if the DAG contains a cycle.
     pub fn topological_order(&self) -> Option<Vec<TaskId>> {
+        let order = self.kahn_order();
+        (order.len() == self.tasks.len()).then_some(order)
+    }
+
+    /// Kahn's algorithm over a CSR dependents table (`offsets` + `edges`, filled in
+    /// task order): every task that ever becomes ready, in pop order. Shorter than
+    /// the task count exactly when the graph has a cycle. Dependency ids must be in
+    /// range.
+    fn kahn_order(&self) -> Vec<TaskId> {
         let n = self.tasks.len();
-        let mut indegree = vec![0usize; n];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut indegree = vec![0u32; n];
+        let mut offsets = vec![0u32; n + 1];
         for task in &self.tasks {
-            indegree[task.id.0 as usize] = task.deps.len();
+            indegree[task.id.0 as usize] = task.deps.len() as u32;
             for dep in &task.deps {
-                dependents[dep.0 as usize].push(task.id.0 as usize);
+                offsets[dep.0 as usize + 1] += 1;
             }
         }
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut fill = offsets[..n].to_vec();
+        let mut edges = vec![0u32; offsets[n] as usize];
+        for task in &self.tasks {
+            for dep in &task.deps {
+                let at = &mut fill[dep.0 as usize];
+                edges[*at as usize] = task.id.0;
+                *at += 1;
+            }
+        }
+        let mut ready: Vec<u32> = (0..n as u32)
+            .filter(|&i| indegree[i as usize] == 0)
+            .collect();
         let mut order = Vec::with_capacity(n);
         while let Some(i) = ready.pop() {
-            order.push(TaskId(i as u32));
-            for &d in &dependents[i] {
-                indegree[d] -= 1;
-                if indegree[d] == 0 {
+            order.push(TaskId(i));
+            let (lo, hi) = (offsets[i as usize], offsets[i as usize + 1]);
+            for &d in &edges[lo as usize..hi as usize] {
+                indegree[d as usize] -= 1;
+                if indegree[d as usize] == 0 {
                     ready.push(d);
                 }
             }
         }
-        if order.len() == n {
-            Some(order)
-        } else {
-            None
-        }
+        order
     }
 
     /// Validates structural invariants: dependency ids are in range, participants are
@@ -286,30 +306,12 @@ impl TrainingDag {
                 }
             }
         }
-        if let Some(order) = self.topological_order() {
-            debug_assert_eq!(order.len(), self.tasks.len());
-        } else {
+        let order = self.kahn_order();
+        if order.len() != self.tasks.len() {
             // Report a few of the tasks stuck in the cycle to make the error actionable.
             let mut in_order = vec![false; self.tasks.len()];
-            // Re-run Kahn's algorithm to find which tasks never became ready.
-            let mut indegree: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
-            let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); self.tasks.len()];
-            for task in &self.tasks {
-                for dep in &task.deps {
-                    dependents[dep.0 as usize].push(task.id.0 as usize);
-                }
-            }
-            let mut ready: Vec<usize> = (0..self.tasks.len())
-                .filter(|&i| indegree[i] == 0)
-                .collect();
-            while let Some(i) = ready.pop() {
-                in_order[i] = true;
-                for &d in &dependents[i] {
-                    indegree[d] -= 1;
-                    if indegree[d] == 0 {
-                        ready.push(d);
-                    }
-                }
+            for id in order {
+                in_order[id.0 as usize] = true;
             }
             let stuck: Vec<String> = self
                 .tasks
