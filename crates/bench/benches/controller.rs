@@ -32,8 +32,8 @@ fn bench_controller(c: &mut Criterion) {
                 } else {
                     (pp.id, &pp_circuits)
                 };
-                let ready = controller.request(group, circuits, now);
-                controller.occupy(circuits, ready + SimDuration::from_millis(1));
+                let ready = controller.request(0, group, circuits, now);
+                controller.occupy(0, circuits, ready + SimDuration::from_millis(1));
                 now = ready + SimDuration::from_millis(1);
             }
             black_box(controller.total_reconfigs())

@@ -29,7 +29,7 @@
 
 use opus::fleet::{FailureModel, FleetService, ProvisioningLevel, SweepSpec, VariantResult};
 use opus::{JobPlacement, ReconfigPolicy, RecoveryPolicy};
-use railsim_bench::{scaled_cluster_with_spare, scaled_dag, Report};
+use railsim_bench::{cli, scaled_cluster_with_spare, scaled_dag, Report};
 use railsim_cost::{standard_points, GpuBackendCostModel};
 use railsim_sim::SimDuration;
 use serde::Serialize;
@@ -85,10 +85,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
     let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
         let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
-        let positive = |v: String| match v.parse::<u32>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(format!("{arg} must be a positive integer, got {v:?}")),
-        };
+        let positive = |v: String| cli::positive(&arg, &v);
         match arg.as_str() {
             "--help" => return Ok(None),
             "--gpus" => {
@@ -114,24 +111,19 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
 }
 
 fn main() -> ExitCode {
-    let Args {
+    cli::run("fleet_sweep", USAGE, parse_args, run)
+}
+
+fn run(
+    Args {
         gpus: num_gpus,
         variants: requested_variants,
         workers,
         iterations,
         base_seed,
         verify_workers,
-    } = match parse_args(std::env::args().skip(1)) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(reason) => {
-            eprintln!("fleet_sweep: {reason}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    }: Args,
+) -> ExitCode {
     let workers = workers.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get() as u32)

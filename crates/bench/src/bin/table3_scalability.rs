@@ -46,7 +46,7 @@
 //! stderr and exits 2.
 
 use opus::{baseline_of, OpusConfig, RecoveryPolicy, ScenarioEvent, ScenarioResult, ScenarioSpec};
-use railsim_bench::{mem, scale_run_config, scaled_cluster, scaled_dag, Report};
+use railsim_bench::{cli, mem, scale_run_config, scaled_cluster, scaled_dag, Report};
 use railsim_cost::ocs_tech::{ocs_technologies, scaleup};
 use railsim_topology::RailId;
 use serde::Serialize;
@@ -171,12 +171,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
                     })
                     .collect::<Result<_, _>>()?;
             }
-            "--iterations" => {
-                parsed.iterations = match value()?.parse::<u32>() {
-                    Ok(n) if n > 0 => n,
-                    _ => return Err("--iterations must be a positive integer".to_string()),
-                };
-            }
+            "--iterations" => parsed.iterations = cli::positive(&arg, &value()?)?,
             "--policy" => {
                 parsed.policy = match value()?.as_str() {
                     "electrical" => PolicyFilter::Electrical,
@@ -461,17 +456,10 @@ fn run_scale_point(
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(reason) => {
-            eprintln!("table3_scalability: {reason}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    cli::run("table3_scalability", USAGE, parse_args, run)
+}
+
+fn run(args: Args) -> ExitCode {
     tech_table();
     if args.skip_sim {
         return ExitCode::SUCCESS;

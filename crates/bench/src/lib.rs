@@ -7,11 +7,13 @@
 //! * [`report`] — plain-text table rendering and JSON result files under `results/`,
 //! * [`setups`] — the canonical experiment setups (the paper's Perlmutter cluster, the
 //!   Llama3-8B 3D-parallel workload, the Fig. 8 latency sweep),
-//! * [`mem`] — peak-RSS introspection for the memory-budget tracking of the scale runs.
+//! * [`mem`] — peak-RSS introspection for the memory-budget tracking of the scale runs,
+//! * [`cli`] — the `--help` / exit-2 contract of the binaries that take arguments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod mem;
 pub mod report;
 pub mod setups;

@@ -19,9 +19,9 @@ use railsim_collectives::GroupId;
 use railsim_sim::{SimDuration, SimTime};
 use railsim_topology::{CircuitConfig, OpticalRailFabric, RailId};
 
-/// Sentinel tenant id: the port's current hold was not placed by a tenant-tagged
-/// transfer (or the port was never busy). Untagged holds are never evictable.
-pub const NO_TENANT: u32 = u32::MAX;
+/// Sentinel tenant id: the port was never busy while tenancy was active. Such
+/// untagged holds are never evictable.
+const NO_TENANT: u32 = u32::MAX;
 
 /// The Opus controller: rail OCSes plus occupancy tracking and the reconfiguration log.
 ///
@@ -55,7 +55,7 @@ pub struct OpusController {
     /// every code path byte-identical to the single-tenant controller; the tenancy
     /// tables below are then empty and never touched.
     eviction: EvictionPolicy,
-    /// Tenant that placed each port's current busy hold, [`NO_TENANT`] when untagged.
+    /// Tenant that placed each port's current busy hold, `NO_TENANT` when untagged.
     /// One table per rail, indexed like `port_busy`; inner vecs are empty unless
     /// [`OpusController::set_eviction`] activated tenancy.
     port_tenant: Vec<Vec<u32>>,
@@ -98,8 +98,8 @@ impl OpusController {
         }
     }
 
-    /// Activates tenant-aware contention arbitration: requests tagged through
-    /// [`OpusController::request_from`] may displace other tenants' port holds
+    /// Activates tenant-aware contention arbitration: a tenant's
+    /// [`OpusController::request`] may displace other tenants' port holds
     /// according to `policy`, and per-tenant wait/eviction ledgers are kept for the
     /// fairness metrics. With [`EvictionPolicy::Never`] (or when never called) every
     /// path stays byte-identical to the single-tenant controller.
@@ -180,19 +180,6 @@ impl OpusController {
         self.noop_requests
     }
 
-    /// The earliest time at or after which every port used by `circuits` is free of
-    /// traffic.
-    pub fn ports_free_at(&self, circuits: &GroupCircuits) -> SimTime {
-        let mut free = SimTime::ZERO;
-        for config in circuits.per_rail.values() {
-            for port in config.ports() {
-                let (rail, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
-                free = free.max(self.port_busy[rail][idx]);
-            }
-        }
-        free
-    }
-
     /// True when every rail already has the group's circuits installed (possibly still
     /// settling).
     pub fn is_installed(&self, circuits: &GroupCircuits) -> bool {
@@ -255,14 +242,19 @@ impl OpusController {
         ready
     }
 
-    /// Handles a reconfiguration request for `group`: installs the group's circuits on
-    /// every rail it needs, waiting for conflicting traffic to drain first. Returns the
-    /// time at which all circuits are ready to carry traffic.
+    /// Handles `tenant`'s reconfiguration request for `group`: installs the group's
+    /// circuits on every rail it needs, waiting for conflicting traffic to drain
+    /// first. Returns the time at which all circuits are ready to carry traffic.
     ///
     /// `requested_at` is when the (possibly speculative) request was issued; the actual
-    /// switching starts at `max(requested_at, ports-free time)`.
+    /// switching starts at `max(requested_at, ports-free time)`. Under an evicting
+    /// policy the requester may displace *other* tenants' port holds instead of
+    /// waiting for them (see `claim_rail_ports` for the arbitration rule); its own
+    /// traffic is never preempted, so intra-tenant ordering stays FC-FS. With tenancy
+    /// off the tenant is ignored.
     pub fn request(
         &mut self,
+        tenant: u32,
         group: GroupId,
         circuits: &GroupCircuits,
         requested_at: SimTime,
@@ -274,72 +266,6 @@ impl OpusController {
         }
         // One pass computes every rail's no-op flag; the install loop below reuses
         // them instead of re-walking each rail's installed circuits.
-        self.noop_scratch.clear();
-        let mut already_everywhere = true;
-        for (rail, config) in &circuits.per_rail {
-            let noop = self.fabric.ocs(*rail).already_installed(config);
-            self.noop_scratch.push(noop);
-            already_everywhere &= noop;
-        }
-        if already_everywhere {
-            self.noop_requests += 1;
-        }
-        let mut ready = requested_at;
-        for (i, (rail, config)) in circuits.per_rail.iter().enumerate() {
-            let ocs_already = self.noop_scratch[i];
-            let start = if ocs_already {
-                requested_at
-            } else {
-                // Conflict avoidance: wait for ongoing traffic on the affected ports.
-                let mut free = requested_at;
-                for port in config.ports() {
-                    let (r, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
-                    free = free.max(self.port_busy[r][idx]);
-                }
-                free
-            };
-            let rail_ready = self
-                .fabric
-                .install(*rail, config, start)
-                .unwrap_or_else(|e| panic!("circuit install failed on {rail}: {e}"));
-            if !ocs_already {
-                self.events.push(ReconfigEvent {
-                    rail: *rail,
-                    group,
-                    requested_at,
-                    started_at: start,
-                    ready_at: rail_ready,
-                    circuits_installed: config.len(),
-                });
-                self.lifetime_by_rail[rail.index()] += 1;
-            }
-            ready = ready.max(rail_ready);
-        }
-        ready
-    }
-
-    /// The tenant-tagged variant of [`OpusController::request`]: identical FC-FS
-    /// semantics under [`EvictionPolicy::Never`] (it delegates), but under an evicting
-    /// policy the requester may displace *other* tenants' port holds instead of
-    /// waiting for them (see [`OpusController::claim_rail_ports`] for the arbitration
-    /// rule). The
-    /// requester's own traffic is never preempted, so intra-tenant ordering stays
-    /// FC-FS.
-    pub fn request_from(
-        &mut self,
-        tenant: u32,
-        group: GroupId,
-        circuits: &GroupCircuits,
-        requested_at: SimTime,
-    ) -> SimTime {
-        if !self.tenancy_active() {
-            return self.request(group, circuits, requested_at);
-        }
-        self.requests += 1;
-        if circuits.per_rail.is_empty() {
-            self.noop_requests += 1;
-            return requested_at;
-        }
         self.noop_scratch.clear();
         let mut already_everywhere = true;
         for (rail, config) in &circuits.per_rail {
@@ -378,20 +304,17 @@ impl OpusController {
         ready
     }
 
-    /// The tenant-aware variant of [`OpusController::ports_free_at`]: the earliest
-    /// time at or after which every port of `circuits` that `tenant` would actually
-    /// have to *wait* for is free — holds the active eviction policy lets the tenant
-    /// displace are skipped. Used to back-date provisioned requests, so a tenant that
-    /// can evict issues its speculative request as early as eviction would allow.
-    pub fn ports_free_for(&self, tenant: u32, circuits: &GroupCircuits) -> SimTime {
-        if !self.tenancy_active() {
-            return self.ports_free_at(circuits);
-        }
+    /// The earliest time at or after which every port of `circuits` that `tenant`
+    /// would actually have to *wait* for is free of traffic — holds the active
+    /// eviction policy lets the tenant displace are skipped. Used to back-date
+    /// provisioned requests, so a tenant that can evict issues its speculative
+    /// request as early as eviction would allow. With tenancy off every port counts.
+    pub fn ports_free_at(&self, tenant: u32, circuits: &GroupCircuits) -> SimTime {
         let mut free = SimTime::ZERO;
         for config in circuits.per_rail.values() {
             for port in config.ports() {
                 let (rail, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
-                if !self.evictable(rail, tenant, self.port_tenant[rail][idx]) {
+                if !self.evictable(rail, idx, tenant) {
                     free = free.max(self.port_busy[rail][idx]);
                 }
             }
@@ -399,10 +322,14 @@ impl OpusController {
         free
     }
 
-    /// True when `tenant`'s request may displace `holder`'s hold on a port of rail
-    /// index `rail` under the active eviction policy. Untagged holds and the
-    /// tenant's own holds never are.
-    fn evictable(&self, rail: usize, tenant: u32, holder: u32) -> bool {
+    /// True when `tenant`'s request may displace the hold on dense port `idx` of rail
+    /// index `rail` under the active eviction policy. Never true with tenancy off;
+    /// untagged holds and the tenant's own holds never are.
+    fn evictable(&self, rail: usize, idx: usize, tenant: u32) -> bool {
+        if !self.tenancy_active() {
+            return false;
+        }
+        let holder = self.port_tenant[rail][idx];
         holder != NO_TENANT
             && holder != tenant
             && match self.eviction {
@@ -415,7 +342,7 @@ impl OpusController {
             }
     }
 
-    /// The per-rail port claim of [`OpusController::request_from`]. Given a tenant's
+    /// The per-rail port claim of [`OpusController::request`]. Given a tenant's
     /// request over one rail's `config` at `requested_at`:
     ///
     /// 1. the requester waits for every *non-evictable* hold (its own traffic, untagged
@@ -428,7 +355,8 @@ impl OpusController {
     /// 3. the requester's own wait (`start - requested_at`) is added to the rail's
     ///    fairness ledger.
     ///
-    /// Returns the install start time.
+    /// With tenancy off only step 1 runs, and it waits for every hold. Returns the
+    /// install start time.
     fn claim_rail_ports(
         &mut self,
         tenant: u32,
@@ -440,17 +368,20 @@ impl OpusController {
         let mut start = requested_at;
         for port in config.ports() {
             let (_, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
-            if !self.evictable(r, tenant, self.port_tenant[r][idx]) {
+            if !self.evictable(r, idx, tenant) {
                 start = start.max(self.port_busy[r][idx]);
             }
+        }
+        if !self.tenancy_active() {
+            return start;
         }
         let mut evicted = false;
         for port in config.ports() {
             let (_, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
             if self.port_busy[r][idx] > start {
                 // Only evictable holds can still extend past `start`.
+                debug_assert!(self.evictable(r, idx, tenant));
                 let holder = self.port_tenant[r][idx];
-                debug_assert!(self.evictable(r, tenant, holder));
                 self.evictions_suffered[r][holder as usize] += 1;
                 self.evictions_inflicted[r][tenant as usize] += 1;
                 self.port_busy[r][idx] = start;
@@ -505,23 +436,12 @@ impl OpusController {
         out.append(&mut self.events);
     }
 
-    /// Records that the group's circuits carry traffic until `until`, blocking any
-    /// conflicting reconfiguration before then.
-    pub fn occupy(&mut self, circuits: &GroupCircuits, until: SimTime) {
-        for config in circuits.per_rail.values() {
-            for port in config.ports() {
-                let (rail, idx) = port.rail_dense_index(self.num_rails, self.ports_per_gpu);
-                let slot = &mut self.port_busy[rail][idx];
-                *slot = (*slot).max(until);
-            }
-        }
-    }
-
-    /// The tenant-tagged variant of [`OpusController::occupy`]: the same max-merged
-    /// occupancy, but each port whose hold this transfer extends (or establishes) is
-    /// stamped with the owning tenant, so a later contender knows whose traffic it
-    /// would displace. Identical to [`OpusController::occupy`] when tenancy is off.
-    pub fn occupy_for(&mut self, tenant: u32, circuits: &GroupCircuits, until: SimTime) {
+    /// Records that `tenant`'s transfer keeps the group's circuits busy until `until`,
+    /// blocking any conflicting reconfiguration before then. Occupancy is a max-merge;
+    /// with tenancy active each port whose hold this transfer extends (or
+    /// establishes) is stamped with the tenant, so a later contender knows whose
+    /// traffic it would displace.
+    pub fn occupy(&mut self, tenant: u32, circuits: &GroupCircuits, until: SimTime) {
         let active = self.tenancy_active();
         for config in circuits.per_rail.values() {
             for port in config.ports() {
@@ -595,7 +515,7 @@ mod tests {
         let (cluster, mut ctrl, planner) = setup();
         let group = dp_group(1, &[0, 4]);
         let circuits = planner.plan(&cluster, &group);
-        let ready = ctrl.request(group.id, &circuits, SimTime::from_millis(100));
+        let ready = ctrl.request(0, group.id, &circuits, SimTime::from_millis(100));
         assert_eq!(ready, SimTime::from_millis(125));
         assert_eq!(ctrl.total_reconfigs(), 1);
     }
@@ -605,8 +525,8 @@ mod tests {
         let (cluster, mut ctrl, planner) = setup();
         let group = dp_group(1, &[0, 4]);
         let circuits = planner.plan(&cluster, &group);
-        ctrl.request(group.id, &circuits, SimTime::ZERO);
-        let ready = ctrl.request(group.id, &circuits, SimTime::from_millis(200));
+        ctrl.request(0, group.id, &circuits, SimTime::ZERO);
+        let ready = ctrl.request(0, group.id, &circuits, SimTime::from_millis(200));
         assert_eq!(ready, SimTime::from_millis(200));
         assert_eq!(ctrl.total_reconfigs(), 1);
         assert_eq!(ctrl.noop_requests(), 1);
@@ -626,12 +546,12 @@ mod tests {
         let dp_circuits = planner.plan(&cluster, &dp);
         let pp_circuits = planner.plan(&cluster, &pp);
 
-        ctrl.request(dp.id, &dp_circuits, SimTime::ZERO);
+        ctrl.request(0, dp.id, &dp_circuits, SimTime::ZERO);
         // DP traffic occupies its circuit until t = 300 ms.
-        ctrl.occupy(&dp_circuits, SimTime::from_millis(300));
+        ctrl.occupy(0, &dp_circuits, SimTime::from_millis(300));
         // A PP request at t = 150 ms must wait for the DP traffic to finish before the
         // switch can tear the shared port's circuit down, then pay the 25 ms delay.
-        let ready = ctrl.request(pp.id, &pp_circuits, SimTime::from_millis(150));
+        let ready = ctrl.request(0, pp.id, &pp_circuits, SimTime::from_millis(150));
         assert_eq!(ready, SimTime::from_millis(325));
         let event = ctrl.events().last().unwrap();
         assert_eq!(event.started_at, SimTime::from_millis(300));
@@ -645,9 +565,9 @@ mod tests {
         let b = dp_group(2, &[1, 5]); // rail 1 — no shared ports with rail 0.
         let ca = planner.plan(&cluster, &a);
         let cb = planner.plan(&cluster, &b);
-        ctrl.request(a.id, &ca, SimTime::ZERO);
-        ctrl.occupy(&ca, SimTime::from_secs(10));
-        let ready = ctrl.request(b.id, &cb, SimTime::from_millis(50));
+        ctrl.request(0, a.id, &ca, SimTime::ZERO);
+        ctrl.occupy(0, &ca, SimTime::from_secs(10));
+        let ready = ctrl.request(0, b.id, &cb, SimTime::from_millis(50));
         assert_eq!(
             ready,
             SimTime::from_millis(75),
@@ -667,7 +587,7 @@ mod tests {
         );
         let circuits = planner.plan(&cluster, &tp);
         let t = SimTime::from_millis(42);
-        assert_eq!(ctrl.request(tp.id, &circuits, t), t);
+        assert_eq!(ctrl.request(0, tp.id, &circuits, t), t);
         assert_eq!(ctrl.total_reconfigs(), 0);
         assert_eq!(ctrl.noop_requests(), 1);
     }
@@ -681,16 +601,16 @@ mod tests {
         assert_eq!(ctrl.installed_ready_time(&circuits), None);
         assert_eq!(circuit_epoch(&ctrl), 0);
 
-        let ready = ctrl.request(group.id, &circuits, SimTime::ZERO);
+        let ready = ctrl.request(0, group.id, &circuits, SimTime::ZERO);
         assert_eq!(circuit_epoch(&ctrl), 1, "a real install bumps the epoch");
         // The pure read now answers exactly what a no-op request would return.
         assert_eq!(ctrl.installed_ready_time(&circuits), Some(ready));
         let later = SimTime::from_millis(500);
-        assert_eq!(ctrl.request(group.id, &circuits, later), later);
+        assert_eq!(ctrl.request(0, group.id, &circuits, later), later);
         assert_eq!(circuit_epoch(&ctrl), 1, "a no-op request leaves the epoch");
 
         // Occupancy leaves the matching, and so the ready time, untouched.
-        ctrl.occupy(&circuits, SimTime::from_secs(10));
+        ctrl.occupy(0, &circuits, SimTime::from_secs(10));
         assert_eq!(circuit_epoch(&ctrl), 1);
         assert_eq!(ctrl.installed_ready_time(&circuits), Some(ready));
 
@@ -707,7 +627,7 @@ mod tests {
             vec![GpuId(0), GpuId(8)],
         );
         let pp_circuits = planner.plan(&cluster, &pp);
-        ctrl.request(pp.id, &pp_circuits, SimTime::from_secs(20));
+        ctrl.request(0, pp.id, &pp_circuits, SimTime::from_secs(20));
         assert_eq!(circuit_epoch(&ctrl), 2);
         assert_eq!(ctrl.installed_ready_time(&circuits), None);
     }
@@ -719,8 +639,8 @@ mod tests {
         let b = dp_group(2, &[1, 5]);
         let ca = planner.plan(&cluster, &a);
         let cb = planner.plan(&cluster, &b);
-        ctrl.request(a.id, &ca, SimTime::ZERO);
-        ctrl.request(b.id, &cb, SimTime::ZERO);
+        ctrl.request(0, a.id, &ca, SimTime::ZERO);
+        ctrl.request(0, b.id, &cb, SimTime::ZERO);
         let epoch = circuit_epoch(&ctrl);
         let removed = ctrl.withdraw(&ca);
         assert!(removed > 0, "group a held circuits");
@@ -739,22 +659,25 @@ mod tests {
 
     #[test]
     fn never_policy_request_from_is_the_plain_request() {
-        let (cluster, mut tagged, planner) = setup();
-        let mut plain = tagged.clone();
+        let (cluster, mut plain, planner) = setup();
+        let mut never = plain.clone();
+        never.set_eviction(EvictionPolicy::Never, 2);
         let group = dp_group(1, &[0, 4]);
         let circuits = planner.plan(&cluster, &group);
-        // Tenancy never activated: the tagged entry points delegate byte-for-byte.
-        assert!(!tagged.tenancy_active());
-        let a = tagged.request_from(0, group.id, &circuits, SimTime::from_millis(10));
-        let b = plain.request(group.id, &circuits, SimTime::from_millis(10));
+        // `Never` leaves tenancy off: the tenant argument changes nothing.
+        assert!(!never.tenancy_active());
+        let a = never.request(1, group.id, &circuits, SimTime::from_millis(10));
+        let b = plain.request(0, group.id, &circuits, SimTime::from_millis(10));
         assert_eq!(a, b);
-        assert_eq!(tagged.requests(), plain.requests());
-        tagged.occupy_for(0, &circuits, SimTime::from_millis(500));
-        plain.occupy(&circuits, SimTime::from_millis(500));
+        assert_eq!(never.requests(), plain.requests());
+        never.occupy(1, &circuits, SimTime::from_millis(500));
+        plain.occupy(0, &circuits, SimTime::from_millis(500));
         assert_eq!(
-            tagged.ports_free_for(1, &circuits),
-            plain.ports_free_at(&circuits)
+            never.ports_free_at(0, &circuits),
+            plain.ports_free_at(1, &circuits)
         );
+        assert_eq!(never.ports_free_at(0, &circuits), SimTime::from_millis(500));
+        assert_eq!(format!("{never:?}"), format!("{plain:?}"));
     }
 
     #[test]
@@ -770,24 +693,24 @@ mod tests {
         );
         let dp_circuits = planner.plan(&cluster, &dp);
         let pp_circuits = planner.plan(&cluster, &pp);
-        ctrl.request_from(0, dp.id, &dp_circuits, SimTime::ZERO);
-        ctrl.occupy_for(0, &dp_circuits, SimTime::from_millis(300));
+        ctrl.request(0, dp.id, &dp_circuits, SimTime::ZERO);
+        ctrl.occupy(0, &dp_circuits, SimTime::from_millis(300));
         // Tenant 1 does not wait for tenant 0's hold: start at 150, ready at 175.
-        let ready = ctrl.request_from(1, pp.id, &pp_circuits, SimTime::from_millis(150));
+        let ready = ctrl.request(1, pp.id, &pp_circuits, SimTime::from_millis(150));
         assert_eq!(ready, SimTime::from_millis(175));
         assert_eq!(ctrl.evictions_suffered_by(0), 1);
         assert_eq!(ctrl.evictions_inflicted_by(1), 1);
         assert!(ctrl.circuits_evicted_by_rail()[0] > 0);
         // Tenant 1's own hold is never evicted by tenant 1: a second tenant-1 group
         // on the same port waits the full FC-FS way.
-        ctrl.occupy_for(1, &pp_circuits, SimTime::from_millis(400));
+        ctrl.occupy(1, &pp_circuits, SimTime::from_millis(400));
         let own = CommGroup::new(
             railsim_collectives::GroupId(3),
             ParallelismAxis::Data,
             vec![GpuId(0), GpuId(12)],
         );
         let own_circuits = planner.plan(&cluster, &own);
-        let ready = ctrl.request_from(1, own.id, &own_circuits, SimTime::from_millis(200));
+        let ready = ctrl.request(1, own.id, &own_circuits, SimTime::from_millis(200));
         assert_eq!(ready, SimTime::from_millis(425), "own traffic drains first");
     }
 
@@ -803,10 +726,10 @@ mod tests {
         );
         let dp_circuits = planner.plan(&cluster, &dp);
         let pp_circuits = planner.plan(&cluster, &pp);
-        ctrl.request_from(0, dp.id, &dp_circuits, SimTime::ZERO);
-        ctrl.occupy_for(0, &dp_circuits, SimTime::from_millis(300));
+        ctrl.request(0, dp.id, &dp_circuits, SimTime::ZERO);
+        ctrl.occupy(0, &dp_circuits, SimTime::from_millis(300));
         // Equal waits (both zero): tenant 1 may not evict and waits like FC-FS.
-        let ready = ctrl.request_from(1, pp.id, &pp_circuits, SimTime::from_millis(150));
+        let ready = ctrl.request(1, pp.id, &pp_circuits, SimTime::from_millis(150));
         assert_eq!(ready, SimTime::from_millis(325));
         assert_eq!(ctrl.evictions_inflicted_by(1), 0);
         assert_eq!(
@@ -816,14 +739,14 @@ mod tests {
         );
         // Now tenant 0 re-takes the port and holds it; tenant 1 has waited more, so
         // its next (circuit-changing) request displaces the hold instead of waiting.
-        ctrl.occupy_for(0, &dp_circuits, SimTime::from_millis(900));
+        ctrl.occupy(0, &dp_circuits, SimTime::from_millis(900));
         let other = CommGroup::new(
             railsim_collectives::GroupId(3),
             ParallelismAxis::Data,
             vec![GpuId(0), GpuId(12)],
         );
         let other_circuits = planner.plan(&cluster, &other);
-        let ready = ctrl.request_from(1, other.id, &other_circuits, SimTime::from_millis(400));
+        let ready = ctrl.request(1, other.id, &other_circuits, SimTime::from_millis(400));
         assert_eq!(
             ready,
             SimTime::from_millis(425),
@@ -838,7 +761,7 @@ mod tests {
         let (cluster, mut ctrl, planner) = setup();
         let group = dp_group(1, &[0, 4]);
         let circuits = planner.plan(&cluster, &group);
-        ctrl.request(group.id, &circuits, SimTime::ZERO);
+        ctrl.request(0, group.id, &circuits, SimTime::ZERO);
         assert_eq!(ctrl.take_events().len(), 1);
         assert!(ctrl.events().is_empty());
         assert_eq!(ctrl.total_reconfigs(), 0, "total follows the drained log");

@@ -11,7 +11,7 @@
 //! * [`SweepSpec`] describes the variant grid *declaratively*: provisioning levels
 //!   (policy + reconfiguration latency + cost), placements, seeded failure traces and
 //!   the memoization knob. The grid expands to concrete
-//!   [`ScenarioSpec`](crate::ScenarioSpec)s on demand; per-variant seeds derive
+//!   [`ScenarioSpec`]s on demand; per-variant seeds derive
 //!   deterministically from the base seed via splitmix64
 //!   ([`SweepSpec::seed_for`]), so results are reproducible independent of worker
 //!   count.
@@ -158,12 +158,21 @@ impl ProvisioningLevel {
         }
     }
 
-    /// The same level under a different recovery policy, `+replan`-suffixed when it
-    /// differs from the default (the cost figures are unchanged: replanning is a
-    /// control-plane behavior, not hardware).
+    /// The same level under a different recovery policy. Switching to
+    /// [`RecoveryPolicy::Replan`] appends `+replan` to the label and switching back
+    /// to [`RecoveryPolicy::Stall`] strips it again (the cost figures are unchanged:
+    /// replanning is a control-plane behavior, not hardware).
     pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        if recovery != self.recovery && recovery == RecoveryPolicy::Replan {
-            self.label = format!("{}+replan", self.label);
+        const SUFFIX: &str = "+replan";
+        if recovery != self.recovery {
+            match recovery {
+                RecoveryPolicy::Replan => self.label.push_str(SUFFIX),
+                RecoveryPolicy::Stall => {
+                    if let Some(base) = self.label.strip_suffix(SUFFIX) {
+                        self.label.truncate(base.len());
+                    }
+                }
+            }
         }
         self.recovery = recovery;
         self
@@ -236,7 +245,7 @@ impl FailureModel {
 
 /// A declarative sweep: the variant grid is the cross product
 /// `levels × placements × traces_per_level`, expanded lazily to concrete
-/// [`ScenarioSpec`](crate::ScenarioSpec)s. Trace 0 of every `(level, placement)`
+/// [`ScenarioSpec`]s. Trace 0 of every `(level, placement)`
 /// cell is the *clean reference* (no injections) that anchors the availability
 /// ratio; traces `1..` are seeded failure traces.
 #[derive(Debug, Clone)]
@@ -902,6 +911,27 @@ mod tests {
         for level in &clean.frontier.levels {
             assert!(level.availability > 0.0 && level.availability <= 1.0 + 1e-9);
         }
+    }
+
+    #[test]
+    fn with_recovery_round_trips_the_label() {
+        let base = ProvisioningLevel::bare(
+            "piezo-25ms",
+            ReconfigPolicy::Provisioned,
+            SimDuration::from_millis(25),
+        );
+        let replan = base.clone().with_recovery(RecoveryPolicy::Replan);
+        assert_eq!(replan.label, "piezo-25ms+replan");
+        let again = replan.clone().with_recovery(RecoveryPolicy::Replan);
+        assert_eq!(again.label, "piezo-25ms+replan", "no double suffix");
+        let back = replan.with_recovery(RecoveryPolicy::Stall);
+        assert_eq!(back.label, "piezo-25ms");
+        assert_eq!(back.recovery, RecoveryPolicy::Stall);
+        let stall = base.clone().with_recovery(RecoveryPolicy::Stall);
+        assert_eq!(
+            stall.label, base.label,
+            "an unchanged policy keeps the label"
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! ## Components (Fig. 6 of the paper)
 //!
 //! * [`OpusShim`] — sits between the application and the collective library,
-//!   intercepts collective calls, profiles the per-rank group sequence during the
-//!   first iteration and predicts parallelism shifts afterwards.
+//!   intercepts collective calls, profiles the first iteration and enables
+//!   speculative (provisioned) requests for the parallelism shifts afterwards.
 //! * [`GroupTable`] / [`CircuitPlanner`] — the controller's communication-group table
 //!   and circuit lookup table: which ranks form each group, which rails it needs and
 //!   which circuits realize its ring.
@@ -88,7 +88,7 @@ pub use scenario::{
     FleetMetrics, JobPlacement, JobResult, JobSpec, ScenarioEvent, ScenarioResult, ScenarioSpec,
 };
 pub use serving::{ArrivalProcess, ServingSpec};
-pub use shim::{OpusShim, ShimProfile};
+pub use shim::OpusShim;
 pub use simulation::{baseline_of, OpusSimulator};
 pub use window::{
     default_traffic_buckets_mb, phases_by_rail, phases_on_rail, window_cdf,

@@ -3,7 +3,7 @@
 
 use super::inject::Injection;
 use super::memo::MemoState;
-use super::step::{Fleet, SharedBackend, NO_JOB};
+use super::step::{Fleet, NO_JOB};
 use super::{CircuitSlot, JobContext, JobPlacement, ScenarioEvent, ScenarioSim, ScenarioSpec};
 use crate::circuits::CircuitPlanner;
 use crate::config::{EvictionPolicy, OpusConfig};
@@ -13,7 +13,7 @@ use crate::serving::ServingSpec;
 use crate::shim::OpusShim;
 use railsim_collectives::{CommGroup, GroupId, ParallelismAxis};
 use railsim_sim::{SimDuration, SimRng, SimTime};
-use railsim_topology::{Cluster, ElectricalRailFabric, GpuId, OpticalRailFabric, RailHealth};
+use railsim_topology::{Cluster, GpuId, OpticalRailFabric, RailHealth};
 use railsim_workload::{JobId, TaskKind, TaskTable, TrainingDag};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -220,26 +220,20 @@ impl ScenarioSim {
             ));
         }
 
-        let backend = match optical_latency {
-            Some(latency) => {
-                let mut controller = Box::new(OpusController::new(OpticalRailFabric::for_cluster(
-                    &cluster, latency,
-                )));
-                if let Some(policy) = optical_eviction.filter(|p| p.can_evict()) {
-                    controller.set_eviction(policy, contexts.len() as u32);
-                    // Evictions make the shared port state policy-dependent mid-run;
-                    // the memo's shifted-replay proof no longer holds.
-                    for ctx in &mut contexts {
-                        ctx.memo.enabled = false;
-                    }
-                }
-                SharedBackend::Optical {
-                    controller,
-                    electrical: ElectricalRailFabric::for_cluster(&cluster),
+        let controller = optical_latency.map(|latency| {
+            let mut controller = Box::new(OpusController::new(OpticalRailFabric::for_cluster(
+                &cluster, latency,
+            )));
+            if let Some(policy) = optical_eviction.filter(|p| p.can_evict()) {
+                controller.set_eviction(policy, contexts.len() as u32);
+                // Evictions make the shared port state policy-dependent mid-run;
+                // the memo's shifted-replay proof no longer holds.
+                for ctx in &mut contexts {
+                    ctx.memo.enabled = false;
                 }
             }
-            None => SharedBackend::Electrical(ElectricalRailFabric::for_cluster(&cluster)),
-        };
+            controller
+        });
         let num_rails = cluster.num_rails() as usize;
         let multi_job = contexts.len() > 1;
         if multi_job {
@@ -257,13 +251,12 @@ impl ScenarioSim {
             0
         };
         let fleet = Fleet {
-            backend,
+            controller,
             health: RailHealth::new(num_rails),
             faults,
             multi_job,
             port_owner: vec![NO_JOB; dense_ports],
             ports_per_gpu: cluster.ports_per_gpu(),
-            rail_busy: vec![SimDuration::ZERO; num_rails],
             rail_last: vec![Vec::new(); num_rails],
             overlaps: vec![0; num_rails],
             port_takeovers: 0,

@@ -43,7 +43,7 @@ impl ScenarioSim {
         match event {
             ScenarioEvent::RailDown(rail) => {
                 self.fleet.health.fail(rail, now, recover_at);
-                if let Some(c) = self.fleet.backend.controller_mut() {
+                if let Some(c) = self.fleet.controller.as_deref_mut() {
                     c.rail_failed(rail);
                 }
                 self.replan_after_health_change(now);
@@ -60,7 +60,7 @@ impl ScenarioSim {
                 rail,
                 reconfig_latency,
             } => {
-                if let Some(c) = self.fleet.backend.controller_mut() {
+                if let Some(c) = self.fleet.controller.as_deref_mut() {
                     c.set_rail_reconfig_delay(rail, reconfig_latency);
                 }
             }
@@ -170,7 +170,7 @@ impl ScenarioSim {
                         if degraded == slot.circuits {
                             continue;
                         }
-                        if let Some(c) = fleet.backend.controller_mut() {
+                        if let Some(c) = fleet.controller.as_deref_mut() {
                             c.withdraw(&slot.circuits);
                         }
                         slot.circuits = degraded;
@@ -181,7 +181,7 @@ impl ScenarioSim {
                     // degraded circuits come down now; the pristine set reinstalls on
                     // the next request, paying the reconfiguration delay once.
                     (true, false) => {
-                        if let Some(c) = fleet.backend.controller_mut() {
+                        if let Some(c) = fleet.controller.as_deref_mut() {
                             c.withdraw(&slot.circuits);
                         }
                         slot.circuits = *slot.pristine.take().expect("matched is_some");

@@ -159,7 +159,7 @@ impl ScenarioSim {
         // cycle, per-circuit ready times, epoch and lifetime counters exactly as the
         // naive iteration would have. Request counters move by the template's
         // measured delta.
-        if let Some(controller) = fleet.backend.controller_mut() {
+        if let Some(controller) = fleet.controller.as_deref_mut() {
             for (ev, &slot) in reconfig_events.iter().zip(&ctx.memo.template_slots) {
                 let config = &ctx.circuit_pool[slot as usize].circuits.per_rail[&ev.rail];
                 let ready = controller.replay_install(ev.rail, config, ev.started_at);
@@ -170,7 +170,7 @@ impl ScenarioSim {
             }
             for &(slot, end) in &ctx.memo.template_occupancy {
                 let slot = &ctx.circuit_pool[slot as usize];
-                controller.occupy(&slot.circuits, ctx.iter_start + end);
+                controller.occupy(ctx.job.0, &slot.circuits, ctx.iter_start + end);
             }
             let (requests, noops) = ctx.memo.template_delta;
             controller.replay_requests(requests, noops);

@@ -52,7 +52,7 @@
 //! once two consecutive iterations commit byte-identical timelines up to a constant
 //! offset, later unperturbed iterations are replayed with a shifted clock instead of
 //! re-stepped — byte-identical results at a fraction of the wall-clock cost. See
-//! [`MemoState`] for the detection and invalidation semantics and
+//! `MemoState` (in `scenario/memo.rs`) for the detection and invalidation semantics and
 //! [`OpusConfig::memoize_steady_state`](crate::OpusConfig) for the knob.
 //!
 //! ## Failure and recovery model
@@ -515,7 +515,7 @@ impl ScenarioSim {
 
     /// The shared controller, when any job runs an optical policy.
     pub(crate) fn controller(&self) -> Option<&OpusController> {
-        self.fleet.backend.controller()
+        self.fleet.controller.as_deref()
     }
 
     /// Number of iterations one job fast-forwarded from its steady-state memo
@@ -585,36 +585,35 @@ impl ScenarioSim {
 
     /// Collects the per-job and fleet results.
     pub(crate) fn into_result(mut self) -> ScenarioResult {
-        let fabric = self.fleet.backend.controller().map(|c| c.fabric());
+        let fabric = self.fleet.controller.as_deref().map(|c| c.fabric());
         let circuits_set_up_by_rail = fabric
             .map(|f| f.circuits_set_up_by_rail())
             .unwrap_or_default();
         let circuits_torn_down_by_rail = fabric
             .map(|f| f.circuits_torn_down_by_rail())
             .unwrap_or_default();
-        // Single-job scenarios skip the per-transfer fleet walk on the hot path;
-        // recover the per-rail busy time from the committed records instead (the sum
-        // is identical — every non-offloaded scale-out record names its rails).
-        if !self.fleet.multi_job {
-            for it in self.jobs.iter().flat_map(|ctx| ctx.completed.iter()) {
-                for rec in &it.comm_records {
-                    for rail in &rec.rails {
-                        let slot = &mut self.fleet.rail_busy[rail.index()];
-                        debug_assert!(
-                            slot.checked_add(rec.transfer_time()).is_some(),
-                            "rail_busy[{}] overflowed u64 nanoseconds — the saturating \
-                             clamp would silently freeze the fleet counter",
-                            rail.index()
-                        );
-                        *slot = slot.saturating_add(rec.transfer_time());
-                    }
+        // Per-rail busy time, summed once from the committed records: every
+        // non-offloaded scale-out record names exactly the rails its circuits use,
+        // and every other record names none.
+        let mut rail_busy = vec![SimDuration::ZERO; self.cluster.num_rails() as usize];
+        for it in self.jobs.iter().flat_map(|ctx| ctx.completed.iter()) {
+            for rec in &it.comm_records {
+                for rail in &rec.rails {
+                    let slot = &mut rail_busy[rail.index()];
+                    debug_assert!(
+                        slot.checked_add(rec.transfer_time()).is_some(),
+                        "rail_busy[{}] overflowed u64 nanoseconds — the saturating \
+                         clamp would silently freeze the fleet counter",
+                        rail.index()
+                    );
+                    *slot = slot.saturating_add(rec.transfer_time());
                 }
             }
         }
         // Tenant-fairness accounting: the controller's per-tenant ledgers (only
         // populated under an eviction policy other than `Never`) plus each job's
         // share of the scenario-wide circuit wait.
-        let (evictions, circuits_evicted_by_rail) = match self.fleet.backend.controller() {
+        let (evictions, circuits_evicted_by_rail) = match self.fleet.controller.as_deref() {
             Some(c) if c.tenancy_active() => (
                 (0..self.jobs.len() as u32)
                     .map(|t| (c.evictions_suffered_by(t), c.evictions_inflicted_by(t)))
@@ -634,7 +633,7 @@ impl ScenarioSim {
             .collect();
         let total_wait: f64 = job_wait.iter().map(|w| w.as_nanos() as f64).sum();
         let fleet = FleetMetrics {
-            rail_busy: std::mem::take(&mut self.fleet.rail_busy),
+            rail_busy,
             cross_job_rail_overlaps: std::mem::take(&mut self.fleet.overlaps),
             cross_job_port_takeovers: self.fleet.port_takeovers,
             circuits_set_up_by_rail,
@@ -714,7 +713,7 @@ impl ScenarioSim {
                         ctx.total_circuit_wait.saturating_add(rec.circuit_wait);
                     ctx.comm_records.push(rec);
                     // Attribute any reconfigurations this commit caused to the job.
-                    if let Some(c) = self.fleet.backend.controller_mut() {
+                    if let Some(c) = self.fleet.controller.as_deref_mut() {
                         if !c.events().is_empty() {
                             c.drain_events_into(&mut ctx.reconfig_events);
                         }
@@ -760,10 +759,10 @@ fn p99(latencies: &mut [SimDuration]) -> Option<SimDuration> {
 
 #[cfg(test)]
 mod tests {
-    use super::step::{SharedBackend, NO_JOB};
+    use super::step::NO_JOB;
     use super::*;
     use crate::config::{EvictionPolicy, RecoveryPolicy};
-    use railsim_topology::{ClusterSpec, ElectricalRailFabric, NodePreset, RailHealth};
+    use railsim_topology::{ClusterSpec, NodePreset, RailHealth};
     use railsim_workload::{ComputeModel, DagBuilder, GpuSpec, ModelConfig, ParallelismConfig};
 
     fn tiny_dag() -> TrainingDag {
@@ -1159,8 +1158,8 @@ mod tests {
             for (i, slot) in pool.iter().enumerate() {
                 assert_eq!(slot.group, naive.jobs[0].circuit_pool[i].group);
                 assert_eq!(
-                    mc.ports_free_at(&slot.circuits),
-                    nc.ports_free_at(&slot.circuits),
+                    mc.ports_free_at(0, &slot.circuits),
+                    nc.ports_free_at(0, &slot.circuits),
                     "slot {i} ({:?})",
                     slot.group
                 );
@@ -1257,7 +1256,7 @@ mod tests {
         let cluster = tiny_cluster(4);
         let num_rails = cluster.num_rails() as usize;
         let mut fleet = Fleet {
-            backend: SharedBackend::Electrical(ElectricalRailFabric::for_cluster(&cluster)),
+            controller: None,
             health: RailHealth::new(num_rails),
             faults: false,
             multi_job: true,
@@ -1266,7 +1265,6 @@ mod tests {
                 cluster.num_gpus() as usize * cluster.ports_per_gpu() as usize
             ],
             ports_per_gpu: cluster.ports_per_gpu(),
-            rail_busy: vec![SimDuration::ZERO; num_rails],
             rail_last: vec![Vec::new(); num_rails],
             overlaps: vec![0; num_rails],
             port_takeovers: 0,
@@ -1292,10 +1290,6 @@ mod tests {
         // After every tenant drained, a late transfer overlaps nothing.
         fleet.note_transfer(2, &circuits, ms(400), ms(410));
         assert_eq!(fleet.overlaps[0], 3);
-        assert_eq!(
-            fleet.rail_busy[0],
-            SimDuration::from_millis(300 + 10 + 15 + 10 + 10)
-        );
     }
 
     #[test]

@@ -9,8 +9,8 @@ use crate::metrics::{CommRecord, IterationResult};
 use railsim_collectives::cost::{collective_time, CostParams};
 use railsim_collectives::{degraded_params, CollectiveKind, GroupId, ParallelismAxis};
 use railsim_sim::{Engine, SimDuration, SimTime};
-use railsim_topology::{Cluster, ElectricalRailFabric, RailConnectivity, RailHealth, RailSet};
-use railsim_workload::{JobId, LabelId, RankSet, TaskId, TaskKind};
+use railsim_topology::{Cluster, RailHealth, RailSet, ELECTRICAL_SWITCH_LATENCY};
+use railsim_workload::{JobId, LabelId, TaskId, TaskKind};
 
 impl CircuitSlot {
     /// The slot's effective scale-out cost parameters: while a degraded plan is live,
@@ -27,43 +27,12 @@ impl CircuitSlot {
 /// Sentinel for "no job" in the fleet's per-port tenant table.
 pub(super) const NO_JOB: u32 = u32::MAX;
 
-/// The scale-out network backend shared by every job of the scenario.
-pub(super) enum SharedBackend {
-    Electrical(ElectricalRailFabric),
-    /// Optical policies share one controller (one OCS per rail); electrical jobs in
-    /// the same scenario use the bundled electrical fabric for their transfers.
-    Optical {
-        controller: Box<OpusController>,
-        electrical: ElectricalRailFabric,
-    },
-}
-
-impl SharedBackend {
-    pub(super) fn controller(&self) -> Option<&OpusController> {
-        match self {
-            SharedBackend::Optical { controller, .. } => Some(controller),
-            SharedBackend::Electrical(_) => None,
-        }
-    }
-
-    pub(super) fn controller_mut(&mut self) -> Option<&mut OpusController> {
-        match self {
-            SharedBackend::Optical { controller, .. } => Some(controller),
-            SharedBackend::Electrical(_) => None,
-        }
-    }
-
-    fn electrical(&self) -> &ElectricalRailFabric {
-        match self {
-            SharedBackend::Electrical(f) => f,
-            SharedBackend::Optical { electrical, .. } => electrical,
-        }
-    }
-}
-
-/// Fleet-wide shared state: the backend, rail health and the contention counters.
+/// Fleet-wide shared state: the optical controller, rail health and the contention
+/// counters.
 pub(super) struct Fleet {
-    pub(super) backend: SharedBackend,
+    /// The one controller (one OCS per rail) every optical job shares; `None` when
+    /// no job runs an optical policy. Electrical jobs need no fabric state.
+    pub(super) controller: Option<Box<OpusController>>,
     pub(super) health: RailHealth,
     /// True when the timeline contains rail failures (the per-transfer outage gate is
     /// skipped entirely otherwise, keeping clean runs byte-identical and free).
@@ -74,7 +43,6 @@ pub(super) struct Fleet {
     /// accounting. Empty in single-job scenarios.
     pub(super) port_owner: Vec<u32>,
     pub(super) ports_per_gpu: u8,
-    pub(super) rail_busy: Vec<SimDuration>,
     /// Per rail: the latest transfer end seen *per job* (a bounded small map, one
     /// entry per job that ever used the rail, linearly scanned). A single latest-end
     /// slot is not enough: when one job's long transfer holds the slot, overlaps of
@@ -90,9 +58,9 @@ impl Fleet {
     /// Accounts one scale-out transfer for the cross-job fleet counters: overlap
     /// detection and port-tenant takeovers. Only called in multi-job scenarios —
     /// with one job both counters are structurally zero, and the single-job path is
-    /// the 100k-GPU perf-gated hot path, so it must not pay for fleet bookkeeping
-    /// (per-rail busy time is recovered from the committed records at collection
-    /// time instead; see [`ScenarioSim::into_result`]).
+    /// the 100k-GPU perf-gated hot path, so it must not pay for fleet bookkeeping.
+    /// (Per-rail busy time is summed from the committed records at collection time;
+    /// see [`ScenarioSim::into_result`].)
     pub(super) fn note_transfer(
         &mut self,
         job: u32,
@@ -102,14 +70,6 @@ impl Fleet {
     ) {
         for (&rail, config) in &circuits.per_rail {
             let i = rail.index();
-            debug_assert!(
-                self.rail_busy[i]
-                    .checked_add(end.duration_since(start))
-                    .is_some(),
-                "rail_busy[{i}] overflowed u64 nanoseconds — the saturating clamp would \
-                 silently freeze the fleet counter"
-            );
-            self.rail_busy[i] = self.rail_busy[i].saturating_add(end.duration_since(start));
             // An overlap is counted when any *other* job still had a transfer in
             // flight on the rail when this one started (at most once per transfer
             // per rail, like the pre-fix counter).
@@ -259,8 +219,8 @@ impl ScenarioSim {
         // unperturbed iteration a shifted replay.
         if ctx.memo.enabled {
             let counters = fleet
-                .backend
-                .controller()
+                .controller
+                .as_deref()
                 .map_or((0, 0), |c| (c.requests(), c.noop_requests()));
             let delta = (
                 counters.0 - ctx.memo.counters_at_finish.0,
@@ -340,11 +300,10 @@ impl ScenarioSim {
         id: TaskId,
         now: SimTime,
     ) -> (SimTime, Option<CommRecord>) {
-        // Handles are `Copy`, so taking them out of the table costs nothing — the hot
-        // path never clones a label `String` or a participant `Vec` per event.
+        // The label is a `Copy` handle, so taking it out of the table costs nothing —
+        // the hot path never clones a label `String` per event.
         let kind = ctx.tasks.kind(id).clone();
         let label = ctx.tasks.label(id);
-        let participants = ctx.tasks.participants(id);
         match kind {
             TaskKind::Compute { duration } => {
                 let jitter = ctx.rng.jitter(ctx.config.compute_jitter);
@@ -367,7 +326,6 @@ impl ScenarioSim {
                     bytes,
                     Some(group),
                     label,
-                    participants,
                 );
                 (record.end, Some(record))
             }
@@ -383,7 +341,6 @@ impl ScenarioSim {
                     bytes,
                     None,
                     label,
-                    participants,
                 );
                 (record.end, Some(record))
             }
@@ -402,7 +359,6 @@ impl ScenarioSim {
         bytes: railsim_sim::Bytes,
         group: Option<GroupId>,
         label: LabelId,
-        participants: RankSet,
     ) -> CommRecord {
         let iteration = ctx.iteration;
         let config = &ctx.config;
@@ -419,12 +375,10 @@ impl ScenarioSim {
         // over the host packet-switched network instead of triggering reconfigurations.
         let offloaded = scaleout && config.host_offload.is_some_and(|h| bytes <= h.threshold);
 
-        // The shim intercepts every scale-out call that uses the rails; during the
-        // profiling iteration it records the per-rank group sequence.
+        // The shim intercepts every scale-out call that uses the rails; the
+        // profiling iteration tells it whether the job shifts rail traffic at all.
         if scaleout && !offloaded && iteration == 0 {
-            for rank in participants.ranks() {
-                ctx.shim.observe(*rank, circuit_group);
-            }
+            ctx.shim.observe_rail_traffic();
         }
 
         let mut params = Self::comm_params(config, cluster, scaleout, offloaded);
@@ -444,13 +398,12 @@ impl ScenarioSim {
 
         let optical = config.policy.is_optical();
         let (start, circuit_wait, datapath_latency) = if !optical {
-            let fabric = fleet.backend.electrical();
             // Every scale-out transfer pays the switch datapath latency — offloaded
             // ones included (the host network also runs through packet switches;
             // this matches the pre-redesign simulator byte for byte). Only the
             // outage gate is rail-specific and skips offloaded traffic.
             let latency = if scaleout {
-                fabric.datapath_latency()
+                ELECTRICAL_SWITCH_LATENCY
             } else {
                 SimDuration::ZERO
             };
@@ -461,9 +414,9 @@ impl ScenarioSim {
             }
         } else {
             let controller = fleet
-                .backend
-                .controller_mut()
-                .expect("optical job implies an optical backend");
+                .controller
+                .as_deref_mut()
+                .expect("optical job implies the shared controller");
             if !scaleout || offloaded {
                 (now, SimDuration::ZERO, SimDuration::ZERO)
             } else if let Some(ready) = controller.installed_ready_time(circuits) {
@@ -490,10 +443,9 @@ impl ScenarioSim {
                             .saturating_sub(config.reconfig_latency.as_nanos()),
                     );
                     // Holds an active eviction policy would displace don't delay
-                    // the speculative request; falls back byte-identical to
-                    // `ports_free_at` under `EvictionPolicy::Never`.
+                    // the speculative request.
                     controller
-                        .ports_free_for(ctx.job.0, circuits)
+                        .ports_free_at(ctx.job.0, circuits)
                         .max(earliest_useful)
                 } else {
                     now
@@ -507,8 +459,7 @@ impl ScenarioSim {
                 } else {
                     requested_at
                 };
-                let ready =
-                    controller.request_from(ctx.job.0, circuit_group, circuits, requested_at);
+                let ready = controller.request(ctx.job.0, circuit_group, circuits, requested_at);
                 let start = ready.max(now);
                 (start, start.duration_since(now), SimDuration::ZERO)
             }
@@ -519,8 +470,8 @@ impl ScenarioSim {
 
         if scaleout && !offloaded {
             if optical {
-                if let Some(controller) = fleet.backend.controller_mut() {
-                    controller.occupy_for(ctx.job.0, circuits, end);
+                if let Some(controller) = fleet.controller.as_deref_mut() {
+                    controller.occupy(ctx.job.0, circuits, end);
                 }
             }
             if fleet.multi_job {

@@ -7,8 +7,8 @@
 //! [`RequestBurst`](crate::ScenarioEvent::RequestBurst), then iterates — each
 //! finished iteration retires up to `batch_capacity × active replicas` queued
 //! requests, FIFO — until its backlog drains, going idle again between bursts.
-//! [`ScenarioEvent::JobGrow`](crate::ScenarioEvent::JobGrow) /
-//! [`ScenarioEvent::JobShrink`](crate::ScenarioEvent::JobShrink) resize the active
+//! [`ScenarioEvent::JobGrow`] /
+//! [`ScenarioEvent::JobShrink`] resize the active
 //! replica set at the next iteration boundary: the DAG always carries every
 //! replica's tasks (placed up front through the usual
 //! [`JobPlacement`](crate::JobPlacement) machinery), and the driver masks whole

@@ -12,8 +12,9 @@
 //! * [`Ocs`] — an optical circuit switch: a bounded-radix set of point-to-point
 //!   circuits with a configurable reconfiguration delay.
 //! * [`fabric`] — the two scale-out fabrics compared in the paper: the electrical
-//!   packet-switched rail fabric (full per-rail connectivity, no reconfiguration) and
-//!   the photonic rail fabric (one OCS per rail, circuit-switched).
+//!   packet-switched rail fabric (full per-rail connectivity, no reconfiguration;
+//!   only its switch latency [`ELECTRICAL_SWITCH_LATENCY`] is modelled) and the
+//!   photonic [`OpticalRailFabric`] (one OCS per rail, circuit-switched).
 //! * [`fattree`] — folded-Clos / fat-tree and rail-Clos sizing, used by the cost model
 //!   and as the fully-connected baseline.
 //! * [`path`] — reachability queries including PXN-style forwarding through the
@@ -43,7 +44,7 @@ pub mod path;
 pub mod spec;
 
 pub use cluster::Cluster;
-pub use fabric::{ElectricalRailFabric, OpticalRailFabric, RailConnectivity, ScaleOutFabric};
+pub use fabric::{OpticalRailFabric, ELECTRICAL_SWITCH_LATENCY};
 pub use fattree::{ClosDimensions, FatTreeDimensions};
 pub use health::RailHealth;
 pub use ids::{GpuId, NodeId, PortId, RailId, RailSet, RailSetIter};

@@ -448,8 +448,9 @@ proptest! {
                         ScenarioEvent::RailUp(RailId(rail)),
                     );
             }
-            serde_json::to_string_pretty(&scenario.run()).expect("scenario results serialize")
+            scenario.run()
         };
+        let json = |r: &ScenarioResult| serde_json::to_string_pretty(r).expect("results serialize");
         let mut base = OpusConfig {
             iterations: 8,
             compute_jitter: 0.0,
@@ -463,7 +464,21 @@ proptest! {
             memoize_steady_state: false,
             ..base
         };
-        prop_assert_eq!(build(base), build(naive), "memoized and naive paths diverged");
+        let memo = build(base);
+        prop_assert_eq!(json(&memo), json(&build(naive)), "memoized and naive paths diverged");
+        // Per-rail busy time is exactly the transfer time of every job's records on
+        // that rail.
+        let busy_from_records: Vec<SimDuration> = (0..memo.fleet.rail_busy.len() as u32)
+            .map(|r| {
+                memo.jobs
+                    .iter()
+                    .flat_map(|job| &job.result.iterations)
+                    .flat_map(|it| &it.comm_records)
+                    .filter(|rec| rec.rails.contains(RailId(r)))
+                    .fold(SimDuration::ZERO, |acc, rec| acc + rec.transfer_time())
+            })
+            .collect();
+        prop_assert_eq!(&memo.fleet.rail_busy, &busy_from_records);
     }
 
     // ---- fleet service -------------------------------------------------------------
