@@ -172,6 +172,41 @@ fn memoized_steady_state_matches_the_naive_pin() {
     );
 }
 
+// ---- placement pins ----------------------------------------------------------------
+
+#[test]
+fn placed_training_jobs_are_pinned() {
+    // Training jobs away from the cluster origin: two tiny jobs auto-packed side
+    // by side (job 1 lands on GPU 16 with its group ids after job 0's), and one
+    // job alone at `AtGpu(16)` (shifted ranks, group ids from 0). Both hashes were
+    // captured while placement still deep-copied each shifted DAG; a job's ranks
+    // must land on the same ports however the offset is applied.
+    let (_, dag) = tiny_setup();
+    let dag = Arc::new(dag);
+    let cluster = ClusterSpec::from_preset(NodePreset::PerlmutterA100, 8).build();
+    let config = tiny_config("provisioned-25");
+    let packed = ScenarioSpec::new(cluster.clone())
+        .job(Arc::clone(&dag), config)
+        .job(Arc::clone(&dag), config)
+        .run();
+    assert_eq!(packed.jobs[1].gpu_offset, 16);
+    let packed = serde_json::to_string_pretty(&packed).expect("scenario results serialize");
+    assert_eq!(
+        fnv1a(packed.as_bytes()),
+        0x465da99e10b9dc1f,
+        "two auto-packed training jobs diverged from the captured pin"
+    );
+    let shifted = ScenarioSpec::new(cluster)
+        .job_placed(dag, config, JobPlacement::AtGpu(16))
+        .run();
+    let shifted = serde_json::to_string_pretty(&shifted).expect("scenario results serialize");
+    assert_eq!(
+        fnv1a(shifted.as_bytes()),
+        0x8f40d93275ade530,
+        "a training job placed at GPU 16 diverged from the captured pin"
+    );
+}
+
 // ---- mixed-tenancy pins ------------------------------------------------------------
 
 /// The tiny mixed training + inference scenario: the 16-rank trainer packed at
@@ -252,8 +287,15 @@ fn mixed_tenancy_metrics_are_pinned() {
 // ---- 1k-GPU pins (release-mode CI smoke; run with `--ignored`) ---------------------
 
 fn scaled_setup_1k() -> (Cluster, TrainingDag) {
-    let num_gpus = 1024u32;
-    let cluster = ClusterSpec::from_preset(NodePreset::DgxH200, num_gpus / 8).build();
+    (cluster_1k(), scaled_dag(1024))
+}
+
+fn cluster_1k() -> Cluster {
+    ClusterSpec::from_preset(NodePreset::DgxH200, 1024 / 8).build()
+}
+
+/// The TP8/PP8/FSDP Llama3-8B DAG of a `num_gpus`-GPU job (a multiple of 64).
+fn scaled_dag(num_gpus: u32) -> TrainingDag {
     let parallel = ParallelismConfig {
         tensor: 8,
         sequence_parallel: true,
@@ -268,8 +310,7 @@ fn scaled_setup_1k() -> (Cluster, TrainingDag) {
     };
     let model = ModelConfig::llama3_8b();
     let compute = ComputeModel::derive(&model, &parallel, &GpuSpec::h200());
-    let dag = DagBuilder::new(model, parallel, compute).build();
-    (cluster, dag)
+    DagBuilder::new(model, parallel, compute).build()
 }
 
 fn scale_config_1k() -> OpusConfig {
@@ -427,5 +468,25 @@ fn seed_pin_1k_rail_flap_replan() {
         fnv1a(json.as_bytes()),
         0xf72d8c9012a07552,
         "1k-GPU replan rail-flap metrics diverged from the captured pin"
+    );
+}
+
+#[test]
+#[ignore = "1k-GPU release-mode pin; run explicitly (CI does) — slow in debug builds"]
+fn seed_pin_1k_two_job() {
+    // The `table3_scalability --scenario two-job` shape: two 512-GPU jobs packed
+    // side by side on the 1k-GPU rails, sharing one DAG template. Job 1 runs at
+    // GPU 512 with its group ids after job 0's.
+    let dag = Arc::new(scaled_dag(512));
+    let result = ScenarioSpec::new(cluster_1k())
+        .job(Arc::clone(&dag), scale_config_1k())
+        .job(dag, scale_config_1k())
+        .run();
+    assert_eq!(result.jobs[1].gpu_offset, 512);
+    let json = serde_json::to_string_pretty(&result).expect("scenario results serialize");
+    assert_eq!(
+        fnv1a(json.as_bytes()),
+        0x95d55c86c1af6f7c,
+        "1k-GPU two-job metrics diverged from the captured pin"
     );
 }
