@@ -1,5 +1,12 @@
-//! Scenario construction: placement, rebasing, and the per-job tables the run
-//! reads (dependents CSR, circuit pool, condensed task columns).
+//! Scenario construction: placement and the per-job tables the run reads
+//! (dependents CSR, circuit pool, condensed task columns).
+//!
+//! A job's DAG stays in its own rank and group-id space, so every job built from
+//! one template shares the caller's `Arc`. Placement is applied here and only
+//! here, at the group level, where a rank becomes a NIC port: the groups handed
+//! to the [`GroupTable`], the endpoints of ad-hoc point-to-point pairs, and each
+//! [`CircuitSlot`]'s group id. Everything the run emits (slots, reconfiguration
+//! events, records) therefore carries cluster-global ids.
 
 use super::inject::Injection;
 use super::memo::MemoState;
@@ -143,9 +150,10 @@ impl ScenarioSim {
             }
         }
 
-        // Place and rebase the jobs. Job 0 keeps offset 0 / group-id offset 0 under
-        // automatic placement, so a single-job scenario is bit-for-bit the classic
-        // simulator (`rebase(0, 0)` is a plain clone).
+        // Place the jobs. Job 0 keeps offset 0 / group-id offset 0 under automatic
+        // placement, so a single-job scenario is bit-for-bit the classic simulator.
+        // Each later job's group ids start after every earlier job's, so two jobs'
+        // groups never collide in the shared controller.
         let mut contexts = Vec::with_capacity(jobs.len());
         let mut next_free_gpu = 0u32;
         let mut next_group_id = 0u32;
@@ -173,23 +181,22 @@ impl ScenarioSim {
                 JobPlacement::AtGpu(offset) => offset,
             };
             let max_rank = spec.dag.max_rank();
-            assert!(
-                gpu_offset + max_rank < cluster.num_gpus(),
-                "job{j} places rank {max_rank} at GPU {} but the cluster only has {} GPUs",
-                gpu_offset + max_rank,
-                cluster.num_gpus()
-            );
-            let group_offset = if j == 0 { 0 } else { next_group_id };
-            // Share the template straight in when no rebase is needed — an `Arc`
-            // clone, so a fleet of scenarios built from one template never
-            // deep-clones a (potentially 100k-GPU, multi-million-task) arena.
-            let dag = if gpu_offset == 0 && group_offset == 0 {
-                spec.dag
-            } else {
-                Arc::new(spec.dag.rebase(gpu_offset, group_offset))
-            };
-            next_free_gpu = next_free_gpu.max(gpu_offset + max_rank + 1);
-            next_group_id = next_group_id.max(dag.groups.keys().next_back().map_or(0, |g| g.0 + 1));
+            let last_gpu = gpu_offset
+                .checked_add(max_rank)
+                .filter(|&last| last < cluster.num_gpus())
+                .unwrap_or_else(|| {
+                    panic!(
+                        "job{j} places rank {max_rank} at GPU {} but the cluster only has {} \
+                         GPUs",
+                        u64::from(gpu_offset) + u64::from(max_rank),
+                        cluster.num_gpus()
+                    )
+                });
+            let group_offset = next_group_id;
+            next_free_gpu = next_free_gpu.max(last_gpu + 1);
+            if let Some(last) = spec.dag.groups.keys().next_back() {
+                next_group_id = group_offset + last.0 + 1;
+            }
             if spec.config.policy.is_optical() {
                 let latency = spec.config.reconfig_latency;
                 match optical_latency {
@@ -213,7 +220,8 @@ impl ScenarioSim {
                 &cluster,
                 JobId(j as u32),
                 gpu_offset,
-                dag,
+                group_offset,
+                spec.dag,
                 spec.config,
                 arriving[j],
                 spec.serving,
@@ -277,39 +285,58 @@ impl ScenarioSim {
     }
 
     /// Builds one job's context (the tables the classic simulator built globally).
+    /// The job's ranks land on GPUs from `gpu_offset` on and its group ids are
+    /// shifted by `group_offset`; `dag` itself stays in job-local space.
     #[allow(clippy::too_many_arguments)]
     fn build_job(
         cluster: &Cluster,
         job: JobId,
         gpu_offset: u32,
+        group_offset: u32,
         dag: Arc<TrainingDag>,
         config: OpusConfig,
         arrives_via_event: bool,
         serving: Option<ServingSpec>,
     ) -> JobContext {
-        let group_table = GroupTable::build(cluster, dag.groups.values());
+        let placed_groups: Vec<CommGroup> = dag
+            .groups
+            .values()
+            .map(|g| {
+                let ranks = g.ranks.iter().map(|r| GpuId(r.0 + gpu_offset)).collect();
+                CommGroup::new(GroupId(g.id.0 + group_offset), g.axis, ranks)
+            })
+            .collect();
+        let group_table = GroupTable::build(cluster, &placed_groups);
         let planner = CircuitPlanner::for_cluster(cluster);
-        let (circuit_pool, task_circuit_slot) =
-            Self::plan_task_circuits(cluster, &dag, &group_table, &planner);
+        let (circuit_pool, task_circuit_slot) = Self::plan_task_circuits(
+            cluster,
+            &dag,
+            gpu_offset,
+            group_offset,
+            &group_table,
+            &planner,
+        );
         let (dependents_off, dependents, dep_counts) = Self::build_dependents(&dag);
         let rng = SimRng::new(config.seed);
         let n = dag.tasks.len();
         // Inference replicas share no tasks, so a task's replica is simply its first
-        // participant's slice of the job's GPU range.
+        // participant's slice of the job's rank range.
         let task_replica: Vec<u32> = match &serving {
             Some(s) => dag
                 .tasks
                 .iter()
-                .map(|task| (task.participants.first().0 - gpu_offset) / s.gpus_per_replica)
+                .map(|task| task.participants.first().0 / s.gpus_per_replica)
                 .collect(),
             None => Vec::new(),
         };
         let is_training = serving.is_none();
         // Condense last: every structural consumer above has run, so the DAG's
-        // dependency edges and groups are no longer needed. A uniquely-owned DAG is
+        // dependency edges and groups are no longer needed. Which path runs follows
+        // from whether the caller handed the `Arc` over: a uniquely-owned DAG is
         // drained chunk-by-chunk (freeing ~90M `deps` vectors at the 1M-GPU scale
-        // *before* the run allocates its live state); a template still shared with
-        // other scenario variants is condensed by column clone and left alive.
+        // *before* the run allocates its live state, which is what keeps a single
+        // large job's peak RSS down); a template still shared with other jobs or
+        // scenario variants is condensed by column clone and left alive.
         let tasks = match Arc::try_unwrap(dag) {
             Ok(owned) => TaskTable::from_owned(owned),
             Err(shared) => TaskTable::from_shared(&shared),
@@ -402,9 +429,13 @@ impl ScenarioSim {
     /// Plans the circuit demand of every communication task, deduplicated into one
     /// [`CircuitSlot`] per communication group (plus one per ad-hoc point-to-point
     /// pair that belongs to no group). Returns the pool and the per-task slot index.
+    /// `dag` is job-local; `table` holds the placed groups, so a slot's group id and
+    /// an ad-hoc pair's endpoints are shifted by the job's offsets here.
     fn plan_task_circuits(
         cluster: &Cluster,
         dag: &TrainingDag,
+        gpu_offset: u32,
+        group_offset: u32,
         table: &GroupTable,
         planner: &CircuitPlanner,
     ) -> (Vec<CircuitSlot>, Vec<u32>) {
@@ -422,13 +453,14 @@ impl ScenarioSim {
         let mut task_slot = vec![NO_SLOT; dag.tasks.len()];
         let mut group_slot = |pool: &mut Vec<CircuitSlot>, id: GroupId| -> u32 {
             *slot_of_group.entry(id).or_insert_with(|| {
+                let placed = GroupId(id.0 + group_offset);
                 let circuits = table
-                    .circuits(id)
+                    .circuits(placed)
                     .expect("communication group must be registered")
                     .clone();
                 let slot = pool.len() as u32;
                 pool.push(CircuitSlot {
-                    group: id,
+                    group: placed,
                     group_size: dag.groups[&id].size() as u32,
                     circuits,
                     pristine: None,
@@ -453,7 +485,7 @@ impl ScenarioSim {
                             let pseudo = CommGroup::new(
                                 GroupId(u32::MAX - task.id.0),
                                 *axis,
-                                vec![*src, *dst],
+                                vec![GpuId(src.0 + gpu_offset), GpuId(dst.0 + gpu_offset)],
                             );
                             let slot = pool.len() as u32;
                             pool.push(CircuitSlot {

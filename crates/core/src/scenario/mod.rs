@@ -168,10 +168,11 @@ pub enum JobPlacement {
 
 /// One job declaration: the DAG, its configuration and its placement.
 ///
-/// The DAG rides behind an [`Arc`] so the same template can back many concurrent
-/// scenarios (a fleet sweep pays DAG construction once); declaring a job never
-/// deep-clones the arena. A rebase (non-zero placement or group-id offset) clones at
-/// build time, exactly as before.
+/// The DAG rides behind an [`Arc`] so the same template can back many jobs and
+/// concurrent scenarios (a fleet sweep pays DAG construction once); neither
+/// declaring nor placing a job deep-clones the arena. The DAG stays in job-local
+/// rank and group-id space: the placement offset is applied only where the job's
+/// groups are turned into circuits.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// The job's training DAG (immutably shared; see [`ScenarioSpec`]).
@@ -1062,6 +1063,45 @@ mod tests {
         let _ = ScenarioSpec::new(tiny_cluster(4))
             .job_placed(Arc::new(tiny_dag()), config, JobPlacement::AtGpu(8))
             .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster only has 16 GPUs")]
+    fn placement_past_u32_max_is_rejected() {
+        // `offset + max_rank` would wrap to GPU 10 without a checked add.
+        let config = OpusConfig::electrical();
+        let _ = ScenarioSpec::new(tiny_cluster(4))
+            .job_placed(
+                Arc::new(tiny_dag()),
+                config,
+                JobPlacement::AtGpu(u32::MAX - 4),
+            )
+            .run();
+    }
+
+    #[test]
+    fn placement_shares_the_template_rank_sets() {
+        // Jobs stay in job-local rank space, so placing one template at eight
+        // offsets interns no new rank set: every job's participant handles are
+        // job 0's.
+        let dag = Arc::new(tiny_dag());
+        let mut spec = ScenarioSpec::new(tiny_cluster(12));
+        for offset in (0..8).map(|k| 4 * k) {
+            spec = spec.job_placed(
+                Arc::clone(&dag),
+                OpusConfig::electrical(),
+                JobPlacement::AtGpu(offset),
+            );
+        }
+        let sim = ScenarioSim::build(spec);
+        let base = &sim.jobs[0].tasks;
+        for ctx in &sim.jobs[1..] {
+            assert_eq!(ctx.tasks.len(), base.len());
+            for i in 0..base.len() as u32 {
+                let id = railsim_workload::TaskId(i);
+                assert_eq!(ctx.tasks.participants(id), base.participants(id));
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::config::OpusConfig;
 use crate::controller::OpusController;
 use crate::metrics::{CommRecord, IterationResult};
 use railsim_collectives::cost::{collective_time, CostParams};
-use railsim_collectives::{degraded_params, CollectiveKind, GroupId, ParallelismAxis};
+use railsim_collectives::{degraded_params, CollectiveKind, ParallelismAxis};
 use railsim_sim::{Engine, SimDuration, SimTime};
 use railsim_topology::{Cluster, RailHealth, RailSet, ELECTRICAL_SWITCH_LATENCY};
 use railsim_workload::{JobId, LabelId, TaskId, TaskKind};
@@ -310,22 +310,10 @@ impl ScenarioSim {
                 (now + duration.mul_f64(jitter), None)
             }
             TaskKind::Collective {
-                group,
-                kind,
-                axis,
-                bytes,
+                kind, axis, bytes, ..
             } => {
                 let record = Self::execute_comm(
-                    ctx,
-                    fleet,
-                    cluster,
-                    id,
-                    now,
-                    kind,
-                    axis,
-                    bytes,
-                    Some(group),
-                    label,
+                    ctx, fleet, cluster, id, now, kind, axis, bytes, true, label,
                 );
                 (record.end, Some(record))
             }
@@ -339,7 +327,7 @@ impl ScenarioSim {
                     CollectiveKind::SendRecv,
                     axis,
                     bytes,
-                    None,
+                    false,
                     label,
                 );
                 (record.end, Some(record))
@@ -357,7 +345,7 @@ impl ScenarioSim {
         kind: CollectiveKind,
         axis: ParallelismAxis,
         bytes: railsim_sim::Bytes,
-        group: Option<GroupId>,
+        collective: bool,
         label: LabelId,
     ) -> CommRecord {
         let iteration = ctx.iteration;
@@ -365,7 +353,7 @@ impl ScenarioSim {
         let slot = &ctx.circuit_pool[ctx.task_circuit_slot[id.0 as usize] as usize];
         let circuit_group = slot.group;
         let circuits = &slot.circuits;
-        let group_size = if group.is_some() {
+        let group_size = if collective {
             slot.group_size as usize
         } else {
             2
@@ -484,7 +472,8 @@ impl ScenarioSim {
             label,
             axis,
             kind,
-            group,
+            // A collective's slot is its own group's, already in cluster-global ids.
+            group: collective.then_some(circuit_group),
             bytes,
             scaleout,
             // Offloaded traffic never touches the rails, so it carries no rail list and

@@ -346,92 +346,12 @@ impl TrainingDag {
             .unwrap_or(0)
     }
 
-    /// Rebases the DAG for placement in a multi-job scenario: every rank is shifted by
-    /// `gpu_offset` (the job's first GPU in the shared cluster) and every group id by
-    /// `group_id_offset` (so two jobs' groups never collide in shared controller
-    /// state). Task ids, labels, dependencies and traffic are untouched, so a rebased
-    /// job simulates exactly like the original, just elsewhere in the cluster.
-    ///
-    /// `rebase(0, 0)` returns a plain clone — rank sets and group ids are already
-    /// canonical, and scenario drivers rely on that for byte-identical single-job
-    /// compatibility.
-    pub fn rebase(&self, gpu_offset: u32, group_id_offset: u32) -> TrainingDag {
-        if gpu_offset == 0 && group_id_offset == 0 {
-            return self.clone();
-        }
-        let shift_gpu = |g: GpuId| GpuId(g.0 + gpu_offset);
-        let shift_group = |g: GroupId| GroupId(g.0 + group_id_offset);
-        let mut tasks = TaskArena::with_capacity(self.tasks.len());
-        let mut shifted_ranks: Vec<GpuId> = Vec::new();
-        for task in &self.tasks {
-            shifted_ranks.clear();
-            shifted_ranks.extend(task.ranks().iter().copied().map(shift_gpu));
-            let kind = match &task.kind {
-                TaskKind::Compute { duration } => TaskKind::Compute {
-                    duration: *duration,
-                },
-                TaskKind::Collective {
-                    group,
-                    kind,
-                    axis,
-                    bytes,
-                } => TaskKind::Collective {
-                    group: shift_group(*group),
-                    kind: *kind,
-                    axis: *axis,
-                    bytes: *bytes,
-                },
-                TaskKind::PointToPoint {
-                    src,
-                    dst,
-                    axis,
-                    bytes,
-                } => TaskKind::PointToPoint {
-                    src: shift_gpu(*src),
-                    dst: shift_gpu(*dst),
-                    axis: *axis,
-                    bytes: *bytes,
-                },
-            };
-            tasks.alloc(Task {
-                id: task.id,
-                kind,
-                participants: crate::intern::RankSet::intern(&shifted_ranks),
-                deps: task.deps.clone(),
-                label: task.label,
-                microbatch: task.microbatch,
-                layer: task.layer,
-            });
-        }
-        let groups = self
-            .groups
-            .values()
-            .map(|g| {
-                let id = shift_group(g.id);
-                let ranks = g.ranks.iter().copied().map(shift_gpu).collect();
-                (id, CommGroup::new(id, g.axis, ranks))
-            })
-            .collect();
-        TrainingDag {
-            tasks,
-            groups,
-            config: self.config.clone(),
-        }
-    }
-
     /// The tasks a given rank participates in, in id order.
     pub fn tasks_of_rank(&self, rank: GpuId) -> Vec<&Task> {
         self.tasks
             .iter()
             .filter(|t| t.participants.contains(rank))
             .collect()
-    }
-
-    /// Wraps the DAG in an [`Arc`](std::sync::Arc) for shared-immutable reuse across
-    /// scenario runs: a fleet sweep evaluates hundreds of variants against one
-    /// template, paying DAG construction once.
-    pub fn into_shared(self) -> std::sync::Arc<TrainingDag> {
-        std::sync::Arc::new(self)
     }
 }
 
@@ -722,12 +642,6 @@ impl DagBuilder {
     /// The traffic sizes the builder derived.
     pub fn sizes(&self) -> &TrafficSizes {
         &self.sizes
-    }
-
-    /// Builds the execution DAG and wraps it for shared-immutable reuse — the
-    /// template form fleet sweeps cache and hand to many concurrent scenario runs.
-    pub fn build_shared(&self) -> std::sync::Arc<TrainingDag> {
-        self.build().into_shared()
     }
 
     /// Builds the execution DAG of one training iteration.

@@ -180,8 +180,9 @@ impl InferenceDagBuilder {
                     .map(|t| GpuId(base + s * cfg.tensor + t))
                     .collect()
             };
-            // One TP group per (replica, stage); ids are replica-major so two jobs'
-            // groups stay disjoint after the scenario driver's group-id rebase.
+            // One TP group per (replica, stage); ids are replica-major and dense from
+            // 0. The scenario driver offsets them past every earlier job's ids where
+            // it plans circuits, so two jobs' groups stay disjoint.
             let tp_group = |s: u32| GroupId(r * cfg.pipeline + s);
             for s in 0..cfg.pipeline {
                 let id = tp_group(s);
