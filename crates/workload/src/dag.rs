@@ -28,14 +28,15 @@ use crate::deps::DepList;
 use crate::intern::{LabelId, RankSet};
 use crate::model::ModelConfig;
 use crate::parallelism::{DataParallelKind, ParallelismConfig};
-use crate::pipeline::PipelineSchedule;
+use crate::pipeline::{PipelineOp, PipelineSchedule};
 use crate::rank_map::RankMapping;
 use crate::sizes::TrafficSizes;
 use railsim_collectives::{CollectiveKind, CommGroup, GroupId, ParallelismAxis};
 use railsim_sim::{Bytes, SimDuration};
 use railsim_topology::GpuId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a job in a multi-job scenario.
 ///
@@ -464,49 +465,249 @@ pub struct DagBuilder {
     schedule: PipelineSchedule,
 }
 
+/// A multiply-xorshift hasher for the builder's integer keys. std's SipHash cost
+/// more than the lookups it guards in a million-task build.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes buckets by the low bits, which a multiply leaves
+        // dependent on the key's low bits only; fold the high half in.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
+
+/// A joined collective's dependency list is searched linearly up to this length;
+/// past it the collective gets an exact side set, so a join stays O(1) per
+/// participant even for 1,600-member FSDP groups.
+const WIDE_JOIN: usize = 16;
+
+/// The label families of the forward and backward sweeps. Each one formats a
+/// distinct label per (stage, micro-batch, layer) it is used with.
+#[derive(Clone, Copy)]
+enum LabelFamily {
+    PpFwd,
+    FsdpAg,
+    CpAg,
+    Fwd,
+    EpA2a,
+    Tp,
+    PpBwd,
+    Bwd,
+    TpBwd,
+    EpBwdA2a,
+    FsdpRs,
+    DpAr,
+}
+
+impl LabelFamily {
+    const COUNT: usize = 12;
+}
+
+/// The sweeps' labels, keyed by (family, stage, micro-batch, stage-local layer):
+/// each distinct label is formatted and interned once, by the first task that
+/// needs it, instead of once per participant.
+struct LabelCache {
+    ids: Vec<Option<LabelId>>,
+    num_mb: u32,
+    layers_per_stage: u32,
+    tp_fwd: &'static str,
+    tp_bwd: &'static str,
+}
+
+impl LabelCache {
+    fn get(&mut self, family: LabelFamily, stage: u32, mb: u32, layer: u32) -> LabelId {
+        let lps = self.layers_per_stage;
+        let slot = ((stage as usize * LabelFamily::COUNT + family as usize) * self.num_mb as usize
+            + mb as usize)
+            * lps as usize
+            + layer as usize;
+        if let Some(id) = self.ids[slot] {
+            return id;
+        }
+        let l = stage * lps + layer;
+        let text = match family {
+            LabelFamily::PpFwd => format!("PP-fwd s{}->s{stage} mb{mb}", stage - 1),
+            LabelFamily::FsdpAg => format!("FSDP-AG s{stage} L{l}"),
+            LabelFamily::CpAg => format!("CP-AG s{stage} mb{mb} L{l}"),
+            LabelFamily::Fwd => format!("fwd s{stage} mb{mb} L{l}"),
+            LabelFamily::EpA2a => format!("EP-A2A s{stage} mb{mb} L{l}"),
+            LabelFamily::Tp => format!("TP-{} s{stage} mb{mb} L{l}", self.tp_fwd),
+            LabelFamily::PpBwd => format!("PP-bwd s{}->s{stage} mb{mb}", stage + 1),
+            LabelFamily::Bwd => format!("bwd s{stage} mb{mb} L{l}"),
+            LabelFamily::TpBwd => format!("TP-bwd-{} s{stage} mb{mb} L{l}", self.tp_bwd),
+            LabelFamily::EpBwdA2a => format!("EP-bwd-A2A s{stage} mb{mb} L{l}"),
+            LabelFamily::FsdpRs => format!("FSDP-RS s{stage} L{l}"),
+            LabelFamily::DpAr => format!("DP-AR s{stage} L{l}"),
+        };
+        let id = LabelId::intern(&text);
+        self.ids[slot] = Some(id);
+        id
+    }
+}
+
+/// Sentinel of [`BuildState::group_of`]: the rank has no group along that axis.
+const NO_GROUP: u32 = u32::MAX;
+
 /// Internal builder state.
+///
+/// A 10k-GPU build creates ~900k tasks, so everything a task touches is a dense
+/// table indexed by rank (times micro-batch or layer where needed) or an integer
+/// map, and each distinct label and participant set is interned once per build,
+/// not once per task or per collective participant.
 struct BuildState {
     tasks: TaskArena,
-    /// Last compute task per rank (serializes the compute stream).
-    compute_tail: HashMap<GpuId, TaskId>,
-    /// Last communication task per (rank, axis) (serializes each comm stream).
-    comm_tail: HashMap<(GpuId, ParallelismAxis), TaskId>,
+    /// Ranks per pipeline stage. The pipeline coordinate varies slowest, so stage
+    /// `s` owns ranks `s * stage_ranks .. (s + 1) * stage_ranks`, and a rank's
+    /// pipeline neighbours are `stage_ranks` away.
+    stage_ranks: u32,
+    num_mb: u32,
+    layers_per_stage: u32,
+    groups: Vec<CommGroup>,
+    /// `group_of[axis][rank]`: the position in `groups` of the rank's group along
+    /// `axis`, or [`NO_GROUP`].
+    group_of: [Vec<u32>; 5],
+    /// Each group's participant set, interned when its first collective is created.
+    group_ranks: Vec<Option<RankSet>>,
+    /// Each rank's singleton participant set, interned on first use.
+    singletons: Vec<Option<RankSet>>,
+    /// The `[src, dst]` set of each pipeline receive, per (receiving rank, whether
+    /// the sender is the higher rank), interned on first use.
+    p2p_ranks: Vec<Option<RankSet>>,
+    labels: LabelCache,
+    /// Dependency dedup without allocating: `stamp[d] == t` once task `t`'s list
+    /// holds `d`. Only the task being created writes stamps, so the ids need no
+    /// reset between tasks.
+    stamp: Vec<u32>,
+    /// Last compute task per rank (the optimizer epilogue waits for it).
+    compute_tail: Vec<Option<TaskId>>,
+    /// Last Data-axis collective per rank (serializes the FSDP comm stream).
+    data_tail: Vec<Option<TaskId>>,
+    /// Per (rank, micro-batch): the last task of the rank's forward pass (feeds the
+    /// forward Send to the next stage and, on the last stage, the backward pass).
+    fwd_out: Vec<Option<TaskId>>,
+    /// Per (rank, micro-batch): the last task of the rank's backward pass.
+    bwd_out: Vec<Option<TaskId>>,
+    /// Per (rank, stage-local layer): the layer's FSDP AllGather, once issued.
+    ag_done: Vec<Option<TaskId>>,
+    /// First and last compute task of each schedule op, per (rank, direction,
+    /// micro-batch), recorded as the sweeps create them.
+    op_first: Vec<Option<TaskId>>,
+    op_last: Vec<Option<TaskId>>,
     /// Collective instances already created, keyed by `(group, label)`. Every
     /// participant of a collective runs the same builder code; the first one to reach
     /// the call creates the task and later participants *join* it, contributing their
     /// own prerequisites as extra dependencies. This models a single NCCL call per
     /// group (the collective starts when its slowest member arrives) instead of one
-    /// call per member. Keys are interned label handles, so a million-task build
-    /// hashes two `u32`s per lookup instead of a string.
-    collective_instances: HashMap<(GroupId, LabelId), TaskId>,
+    /// call per member. The label is the cached handle, so a join formats nothing.
+    collective_instances: IntMap<(GroupId, LabelId), TaskId>,
+    /// Exact dependency sets of collectives whose lists grew past [`WIDE_JOIN`].
+    wide_deps: IntMap<TaskId, IntSet<TaskId>>,
 }
 
 impl BuildState {
-    fn new() -> Self {
+    fn new(builder: &DagBuilder, mapping: &RankMapping) -> Self {
+        let p = &builder.parallel;
+        let world = mapping.world_size() as usize;
+        let num_mb = p.num_microbatches;
+        let lps = builder.compute.layers_per_stage;
+        let stage_ranks = mapping.world_size() / p.pipeline;
+        debug_assert!(
+            (0..mapping.world_size()).all(|r| mapping.pipeline_stage_of(r) == r / stage_ranks)
+        );
+        let groups = mapping.build_comm_groups();
+        let mut group_of: [Vec<u32>; 5] = std::array::from_fn(|_| Vec::new());
+        for (i, g) in groups.iter().enumerate() {
+            let of = &mut group_of[g.axis as usize];
+            if of.is_empty() {
+                of.resize(world, NO_GROUP);
+            }
+            for rank in &g.ranks {
+                of[rank.0 as usize] = i as u32;
+            }
+        }
+        let (tp_fwd, tp_bwd) = builder.tp_kinds();
+        let per_rank_mb = world * num_mb as usize;
         BuildState {
             tasks: TaskArena::new(),
-            compute_tail: HashMap::new(),
-            comm_tail: HashMap::new(),
-            collective_instances: HashMap::new(),
+            stage_ranks,
+            num_mb,
+            layers_per_stage: lps,
+            group_ranks: vec![None; groups.len()],
+            groups,
+            group_of,
+            singletons: vec![None; world],
+            p2p_ranks: vec![None; 2 * world],
+            labels: LabelCache {
+                ids: vec![None; p.pipeline as usize * LabelFamily::COUNT * (num_mb * lps) as usize],
+                num_mb,
+                layers_per_stage: lps,
+                tp_fwd: tp_fwd.short_name(),
+                tp_bwd: tp_bwd.short_name(),
+            },
+            stamp: Vec::new(),
+            compute_tail: vec![None; world],
+            data_tail: vec![None; world],
+            fwd_out: vec![None; per_rank_mb],
+            bwd_out: vec![None; per_rank_mb],
+            ag_done: vec![None; world * lps as usize],
+            op_first: vec![None; 2 * per_rank_mb],
+            op_last: vec![None; 2 * per_rank_mb],
+            collective_instances: IntMap::default(),
+            wide_deps: IntMap::default(),
         }
     }
 
-    fn push(&mut self, mut task: Task) -> TaskId {
-        let id = TaskId(self.tasks.len() as u32);
-        task.id = id;
-        // Deduplicate dependencies while preserving order.
-        let mut seen = std::collections::HashSet::new();
-        task.deps.retain(|d| seen.insert(*d));
-        self.tasks.alloc(task);
-        id
+    /// The position in `groups` of `rank`'s group along `axis`.
+    fn group_of(&self, rank: GpuId, axis: ParallelismAxis) -> Option<usize> {
+        let g = *self.group_of[axis as usize].get(rank.0 as usize)?;
+        (g != NO_GROUP).then_some(g as usize)
+    }
+
+    /// The index of `(rank, mb)` in the per-(rank, micro-batch) tables.
+    fn rank_mb(&self, rank: GpuId, mb: u32) -> usize {
+        rank.0 as usize * self.num_mb as usize + mb as usize
+    }
+
+    /// The id the next created task gets, with its dedup stamp slot.
+    fn next_id(&mut self) -> TaskId {
+        let id = self.tasks.len() as u32;
+        self.stamp.push(u32::MAX);
+        TaskId(id)
+    }
+
+    /// Records that compute task `id` belongs to `rank`'s schedule op
+    /// `(forward, mb)`.
+    fn mark_op(&mut self, rank: GpuId, forward: bool, mb: u32, id: TaskId) {
+        let k = 2 * self.rank_mb(rank, mb) + forward as usize;
+        self.op_first[k].get_or_insert(id);
+        self.op_last[k] = Some(id);
     }
 
     fn add_compute(
         &mut self,
         rank: GpuId,
         duration: SimDuration,
-        deps: Vec<TaskId>,
-        label: String,
+        deps: &[TaskId],
+        label: LabelId,
         microbatch: Option<u32>,
         layer: Option<u32>,
     ) -> TaskId {
@@ -515,42 +716,45 @@ impl BuildState {
         // Chaining on creation order here would contradict the 1F1B interleaving
         // (backwards are created after all forwards), so only the tail pointer is
         // maintained — it is consumed by the optimizer epilogue.
-        let id = self.push(Task {
-            id: TaskId(0),
+        let id = self.next_id();
+        let deps = dedup(&mut self.stamp, id, deps.iter().copied());
+        let participants =
+            *self.singletons[rank.0 as usize].get_or_insert_with(|| RankSet::intern(&[rank]));
+        self.tasks.alloc(Task {
+            id,
             kind: TaskKind::Compute { duration },
-            participants: RankSet::intern(&[rank]),
-            deps: deps.into(),
-            label: LabelId::intern(&label),
+            participants,
+            deps,
+            label,
             microbatch,
             layer,
         });
-        self.compute_tail.insert(rank, id);
+        self.compute_tail[rank.0 as usize] = Some(id);
         id
     }
 
+    /// Creates the collective `label` of group `g`, or joins it if a peer already
+    /// created it.
     #[allow(clippy::too_many_arguments)]
     fn add_collective(
         &mut self,
-        group: &CommGroup,
+        g: usize,
         kind: CollectiveKind,
         bytes: Bytes,
-        mut deps: Vec<TaskId>,
-        label: String,
+        deps: &[TaskId],
+        label: LabelId,
         microbatch: Option<u32>,
         layer: Option<u32>,
     ) -> TaskId {
-        let key = (group.id, LabelId::intern(&label));
+        let key = (self.groups[g].id, label);
         if let Some(&existing) = self.collective_instances.get(&key) {
             // A peer already created this collective instance: join it by contributing
             // our prerequisites, so the collective waits for its slowest participant.
-            let task = &mut self.tasks[existing];
-            for dep in deps {
-                if dep != existing && !task.deps.contains(&dep) {
-                    task.deps.push(dep);
-                }
-            }
+            self.join(existing, deps);
             return existing;
         }
+        let id = self.next_id();
+        let group = &self.groups[g];
         // Only the Data (FSDP) axis serializes its collectives on a per-rank stream:
         // the AllGather prefetch chain and the trailing ReduceScatters are issued on a
         // dedicated communication stream in iteration order. Chaining the other axes
@@ -559,34 +763,56 @@ impl BuildState {
         // forward-pass collective) and create cycles; their ordering is already fully
         // determined by their compute dependencies.
         let chain = group.axis == ParallelismAxis::Data;
-        if chain {
-            for rank in &group.ranks {
-                if let Some(prev) = self.comm_tail.get(&(*rank, group.axis)) {
-                    deps.push(*prev);
-                }
-            }
-        }
-        let id = self.push(Task {
-            id: TaskId(0),
+        let tails = group
+            .ranks
+            .iter()
+            .filter(|_| chain)
+            .filter_map(|rank| self.data_tail[rank.0 as usize]);
+        let deps = dedup(&mut self.stamp, id, deps.iter().copied().chain(tails));
+        let participants =
+            *self.group_ranks[g].get_or_insert_with(|| RankSet::intern(&group.ranks));
+        self.tasks.alloc(Task {
+            id,
             kind: TaskKind::Collective {
                 group: group.id,
                 kind,
                 axis: group.axis,
                 bytes,
             },
-            participants: RankSet::intern(&group.ranks),
-            deps: deps.into(),
-            label: key.1,
+            participants,
+            deps,
+            label,
             microbatch,
             layer,
         });
         if chain {
             for rank in &group.ranks {
-                self.comm_tail.insert((*rank, group.axis), id);
+                self.data_tail[rank.0 as usize] = Some(id);
             }
         }
         self.collective_instances.insert(key, id);
         id
+    }
+
+    /// Adds `deps` to the existing collective `task`, skipping ones it already has.
+    fn join(&mut self, existing: TaskId, deps: &[TaskId]) {
+        let task = &mut self.tasks[existing];
+        for &dep in deps {
+            if dep == existing {
+                continue;
+            }
+            let fresh = if task.deps.len() < WIDE_JOIN {
+                !task.deps.contains(&dep)
+            } else {
+                self.wide_deps
+                    .entry(existing)
+                    .or_insert_with(|| task.deps.iter().copied().collect())
+                    .insert(dep)
+            };
+            if fresh {
+                task.deps.push(dep);
+            }
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -596,27 +822,49 @@ impl BuildState {
         dst: GpuId,
         axis: ParallelismAxis,
         bytes: Bytes,
-        deps: Vec<TaskId>,
-        label: String,
+        dep: TaskId,
+        label: LabelId,
         microbatch: Option<u32>,
     ) -> TaskId {
         // Point-to-point ordering follows purely from data dependencies (a Send cannot
         // happen before the activation it carries exists); no stream chaining is added.
-        self.push(Task {
-            id: TaskId(0),
+        let id = self.next_id();
+        // A rank receives from at most its two pipeline neighbours, one below and
+        // one above it.
+        let slot = 2 * dst.0 as usize + (src > dst) as usize;
+        let participants =
+            *self.p2p_ranks[slot].get_or_insert_with(|| RankSet::intern(&[src, dst]));
+        let mut deps = DepList::new();
+        deps.push(dep);
+        self.tasks.alloc(Task {
+            id,
             kind: TaskKind::PointToPoint {
                 src,
                 dst,
                 axis,
                 bytes,
             },
-            participants: RankSet::intern(&[src, dst]),
-            deps: deps.into(),
-            label: LabelId::intern(&label),
+            participants,
+            deps,
+            label,
             microbatch,
             layer: None,
-        })
+        });
+        id
     }
+}
+
+/// The dependency list of new task `id`: `deps` in order, first occurrences only.
+fn dedup(stamp: &mut [u32], id: TaskId, deps: impl Iterator<Item = TaskId>) -> DepList {
+    let mut list = DepList::new();
+    for dep in deps {
+        let seen = &mut stamp[dep.0 as usize];
+        if *seen != id.0 {
+            *seen = id.0;
+            list.push(dep);
+        }
+    }
+    list
 }
 
 impl DagBuilder {
@@ -644,45 +892,27 @@ impl DagBuilder {
         &self.sizes
     }
 
+    /// The tensor-parallel collectives closing each layer's forward and backward
+    /// pass: ReduceScatter / AllGather under sequence parallelism, else AllReduce.
+    fn tp_kinds(&self) -> (CollectiveKind, CollectiveKind) {
+        if self.parallel.sequence_parallel {
+            (CollectiveKind::ReduceScatter, CollectiveKind::AllGather)
+        } else {
+            (CollectiveKind::AllReduce, CollectiveKind::AllReduce)
+        }
+    }
+
     /// Builds the execution DAG of one training iteration.
     pub fn build(&self) -> TrainingDag {
         let mapping = RankMapping::new(self.parallel.clone());
-        let comm_groups = mapping.build_comm_groups();
-        let groups: BTreeMap<GroupId, CommGroup> =
-            comm_groups.iter().map(|g| (g.id, g.clone())).collect();
-        // Index groups by (anchor member, axis) for fast lookup.
-        let mut group_of: HashMap<(GpuId, ParallelismAxis), GroupId> = HashMap::new();
-        for g in &comm_groups {
-            for rank in &g.ranks {
-                group_of.insert((*rank, g.axis), g.id);
-            }
-        }
-        let lookup = |rank: GpuId, axis: ParallelismAxis| -> Option<&CommGroup> {
-            group_of.get(&(rank, axis)).map(|id| &groups[id])
-        };
-
-        let mut st = BuildState::new();
+        let mut st = BuildState::new(self, &mapping);
         let p = &self.parallel;
-        let layers_per_stage = self.compute.layers_per_stage;
         let num_stages = p.pipeline;
         let num_mb = p.num_microbatches;
         let fsdp = p.data > 1 && p.data_kind == DataParallelKind::FullySharded;
         let plain_dp = p.data > 1 && p.data_kind == DataParallelKind::AllReduce;
-
-        // Per (rank, microbatch): the task that delivered the forward activation into
-        // this rank's stage (used both by layer-0 compute and by lazy FSDP AllGather).
-        let mut fwd_recv: HashMap<(GpuId, u32), TaskId> = HashMap::new();
-        // Per (rank, microbatch): the task producing the final forward activation of
-        // this rank's stage (feeds the forward Send to the next stage).
-        let mut fwd_out: HashMap<(GpuId, u32), TaskId> = HashMap::new();
-        // Same for the backward direction.
-        let mut bwd_recv: HashMap<(GpuId, u32), TaskId> = HashMap::new();
-        let mut bwd_out: HashMap<(GpuId, u32), TaskId> = HashMap::new();
-        // Per (rank, layer): whether the FSDP AllGather for that layer has been issued.
-        let mut ag_done: HashMap<(GpuId, u32), TaskId> = HashMap::new();
-
-        let world = mapping.world_size();
-        let all_ranks: Vec<GpuId> = (0..world).map(GpuId).collect();
+        let per_stage = st.stage_ranks;
+        let stage_ranks = |stage: u32| stage * per_stage..(stage + 1) * per_stage;
 
         // --- Phase A: create forward/backward Send|Recv and compute/collective tasks
         // stage by stage, following each rank's 1F1B schedule. Processing stages in
@@ -690,7 +920,7 @@ impl DagBuilder {
         // be simpler, but the 1F1B interleaving requires per-rank sequencing, so we
         // instead process ranks in pipeline-stage order and, within a rank, walk its
         // schedule; cross-stage dependencies are resolved through the `fwd_out` /
-        // `bwd_out` maps which are guaranteed to be populated because a stage's
+        // `bwd_out` tables which are guaranteed to be populated because a stage's
         // forward (backward) op for micro-batch m can only be reached after the
         // previous (next) stage has already scheduled its own op for m in an earlier
         // (later) position — we therefore build in two sweeps.
@@ -703,49 +933,18 @@ impl DagBuilder {
 
         // ---- Sweep 1: forward passes, stage order.
         for stage in 0..num_stages {
-            for rank in all_ranks.iter().copied() {
-                if mapping.pipeline_stage_of(rank.0) != stage {
-                    continue;
-                }
+            for rank in stage_ranks(stage) {
                 for mb in 0..num_mb {
-                    self.build_forward(
-                        &mut st,
-                        &mapping,
-                        &lookup,
-                        rank,
-                        stage,
-                        mb,
-                        layers_per_stage,
-                        fsdp,
-                        &mut fwd_recv,
-                        &mut fwd_out,
-                        &mut ag_done,
-                    );
+                    self.build_forward(&mut st, GpuId(rank), stage, mb, fsdp);
                 }
             }
         }
 
         // ---- Sweep 2: backward passes, reverse stage order.
         for stage in (0..num_stages).rev() {
-            for rank in all_ranks.iter().copied() {
-                if mapping.pipeline_stage_of(rank.0) != stage {
-                    continue;
-                }
+            for rank in stage_ranks(stage) {
                 for mb in 0..num_mb {
-                    self.build_backward(
-                        &mut st,
-                        &mapping,
-                        &lookup,
-                        rank,
-                        stage,
-                        mb,
-                        layers_per_stage,
-                        fsdp,
-                        plain_dp,
-                        &fwd_out,
-                        &mut bwd_recv,
-                        &mut bwd_out,
-                    );
+                    self.build_backward(&mut st, GpuId(rank), stage, mb, fsdp, plain_dp);
                 }
             }
         }
@@ -754,66 +953,44 @@ impl DagBuilder {
         // backward compute blocks (the data dependencies added so far already order
         // forward-before-backward of the same micro-batch; the schedule additionally
         // orders backwards before later forwards on the same rank).
-        self.add_schedule_ordering(&mut st, &mapping, num_stages, num_mb);
+        self.add_schedule_ordering(&mut st);
 
         // ---- Epilogue: optimizer synchronization collectives and the optimizer step.
-        self.build_epilogue(&mut st, &mapping, &lookup, fsdp || plain_dp);
+        self.build_epilogue(&mut st, fsdp || plain_dp);
 
         let dag = TrainingDag {
             tasks: st.tasks,
-            groups,
+            groups: st.groups.into_iter().map(|g| (g.id, g)).collect(),
             config: self.parallel.clone(),
         };
         debug_assert_eq!(dag.validate(), Ok(()));
         dag
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_forward<'a>(
-        &self,
-        st: &mut BuildState,
-        mapping: &RankMapping,
-        lookup: &impl Fn(GpuId, ParallelismAxis) -> Option<&'a CommGroup>,
-        rank: GpuId,
-        stage: u32,
-        mb: u32,
-        layers_per_stage: u32,
-        fsdp: bool,
-        fwd_recv: &mut HashMap<(GpuId, u32), TaskId>,
-        fwd_out: &mut HashMap<(GpuId, u32), TaskId>,
-        ag_done: &mut HashMap<(GpuId, u32), TaskId>,
-    ) {
+    fn build_forward(&self, st: &mut BuildState, rank: GpuId, stage: u32, mb: u32, fsdp: bool) {
         let p = &self.parallel;
+        let lps = st.layers_per_stage;
         // Receive the activation from the previous stage (if any).
-        let recv_task = if stage > 0 {
-            let prev_rank = GpuId(
-                mapping
-                    .pipeline_prev(rank.0)
-                    .expect("stage > 0 has a predecessor"),
-            );
-            let src_out = fwd_out
-                .get(&(prev_rank, mb))
-                .copied()
+        let recv_task = (stage > 0).then(|| {
+            let prev_rank = GpuId(rank.0 - st.stage_ranks);
+            let src_out = st.fwd_out[st.rank_mb(prev_rank, mb)]
                 .expect("previous stage forward must be built first");
-            let id = st.add_p2p(
+            let label = st.labels.get(LabelFamily::PpFwd, stage, mb, 0);
+            st.add_p2p(
                 prev_rank,
                 rank,
                 ParallelismAxis::Pipeline,
                 self.sizes.pp_sendrecv_per_microbatch,
-                vec![src_out],
-                format!("PP-fwd s{}->s{} mb{mb}", stage - 1, stage),
+                src_out,
+                label,
                 Some(mb),
-            );
-            fwd_recv.insert((rank, mb), id);
-            Some(id)
-        } else {
-            None
-        };
+            )
+        });
 
         let mut prev_layer_task: Option<TaskId> = recv_task;
-        for l in 0..layers_per_stage {
-            let global_layer = stage * layers_per_stage + l;
-            let mut deps = Vec::new();
+        for l in 0..lps {
+            let global_layer = stage * lps + l;
+            let mut deps = DepList::new();
             if let Some(prev) = prev_layer_task {
                 deps.push(prev);
             }
@@ -822,39 +999,38 @@ impl DagBuilder {
             // gathered parameters are reused by later micro-batches). Honour the lazy
             // DTensor behaviour: a non-zero stage's AllGathers wait for the first
             // activation to arrive.
+            let ag_slot = rank.0 as usize * lps as usize + l as usize;
             if fsdp && mb == 0 {
-                if let Some(group) = lookup(rank, ParallelismAxis::Data) {
-                    if !group.is_trivial() {
-                        let mut ag_deps = Vec::new();
-                        if let Some(recv) = recv_task {
-                            ag_deps.push(recv);
-                        }
+                if let Some(g) = st.group_of(rank, ParallelismAxis::Data) {
+                    if !st.groups[g].is_trivial() {
+                        let label = st.labels.get(LabelFamily::FsdpAg, stage, mb, l);
                         let ag = st.add_collective(
-                            group,
+                            g,
                             CollectiveKind::AllGather,
                             self.sizes.fsdp_allgather_per_layer,
-                            ag_deps,
-                            format!("FSDP-AG s{stage} L{global_layer}"),
+                            recv_task.as_slice(),
+                            label,
                             Some(mb),
                             Some(global_layer),
                         );
-                        ag_done.insert((rank, global_layer), ag);
+                        st.ag_done[ag_slot] = Some(ag);
                     }
                 }
             }
-            if let Some(ag) = ag_done.get(&(rank, global_layer)) {
-                deps.push(*ag);
+            if let Some(ag) = st.ag_done[ag_slot] {
+                deps.push(ag);
             }
 
             // Context-parallel KV AllGather before the layer's attention.
             if p.context > 1 {
-                if let Some(group) = lookup(rank, ParallelismAxis::Context) {
+                if let Some(g) = st.group_of(rank, ParallelismAxis::Context) {
+                    let label = st.labels.get(LabelFamily::CpAg, stage, mb, l);
                     let cp = st.add_collective(
-                        group,
+                        g,
                         CollectiveKind::AllGather,
                         self.sizes.cp_allgather_per_layer,
-                        deps.clone(),
-                        format!("CP-AG s{stage} mb{mb} L{global_layer}"),
+                        &deps,
+                        label,
                         Some(mb),
                         Some(global_layer),
                     );
@@ -863,161 +1039,136 @@ impl DagBuilder {
             }
 
             // The layer's forward computation.
+            let label = st.labels.get(LabelFamily::Fwd, stage, mb, l);
             let fwd = st.add_compute(
                 rank,
                 self.compute.layer_forward,
-                deps,
-                format!("fwd s{stage} mb{mb} L{global_layer}"),
+                &deps,
+                label,
                 Some(mb),
                 Some(global_layer),
             );
+            st.mark_op(rank, true, mb, fwd);
             let mut layer_tail = fwd;
 
             // Expert-parallel AllToAll (token routing) inside MoE layers.
             if p.expert > 1 && self.model.is_moe() {
-                if let Some(group) = lookup(rank, ParallelismAxis::Expert) {
-                    let a2a = st.add_collective(
-                        group,
+                if let Some(g) = st.group_of(rank, ParallelismAxis::Expert) {
+                    let label = st.labels.get(LabelFamily::EpA2a, stage, mb, l);
+                    layer_tail = st.add_collective(
+                        g,
                         CollectiveKind::AllToAll,
                         self.sizes.ep_alltoall_per_layer,
-                        vec![layer_tail],
-                        format!("EP-A2A s{stage} mb{mb} L{global_layer}"),
+                        &[layer_tail],
+                        label,
                         Some(mb),
                         Some(global_layer),
                     );
-                    layer_tail = a2a;
                 }
             }
 
             // Tensor-parallel activation collective closing the layer.
             if p.tensor > 1 {
-                if let Some(group) = lookup(rank, ParallelismAxis::Tensor) {
-                    let kind = if p.sequence_parallel {
-                        CollectiveKind::ReduceScatter
-                    } else {
-                        CollectiveKind::AllReduce
-                    };
-                    let tp = st.add_collective(
-                        group,
-                        kind,
+                if let Some(g) = st.group_of(rank, ParallelismAxis::Tensor) {
+                    let label = st.labels.get(LabelFamily::Tp, stage, mb, l);
+                    layer_tail = st.add_collective(
+                        g,
+                        self.tp_kinds().0,
                         self.sizes.tp_allreduce_per_layer,
-                        vec![layer_tail],
-                        format!("TP-{} s{stage} mb{mb} L{global_layer}", kind.short_name()),
+                        &[layer_tail],
+                        label,
                         Some(mb),
                         Some(global_layer),
                     );
-                    layer_tail = tp;
                 }
             }
 
             prev_layer_task = Some(layer_tail);
         }
 
-        fwd_out.insert(
-            (rank, mb),
-            prev_layer_task.expect("at least one layer per stage"),
-        );
+        let out = st.rank_mb(rank, mb);
+        st.fwd_out[out] = Some(prev_layer_task.expect("at least one layer per stage"));
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_backward<'a>(
+    fn build_backward(
         &self,
         st: &mut BuildState,
-        mapping: &RankMapping,
-        lookup: &impl Fn(GpuId, ParallelismAxis) -> Option<&'a CommGroup>,
         rank: GpuId,
         stage: u32,
         mb: u32,
-        layers_per_stage: u32,
         fsdp: bool,
         plain_dp: bool,
-        fwd_out: &HashMap<(GpuId, u32), TaskId>,
-        bwd_recv: &mut HashMap<(GpuId, u32), TaskId>,
-        bwd_out: &mut HashMap<(GpuId, u32), TaskId>,
     ) {
         let p = &self.parallel;
-        let num_stages = p.pipeline;
+        let lps = st.layers_per_stage;
         let last_mb = p.num_microbatches - 1;
 
         // The backward pass starts from the gradient coming back from the next stage
         // (or, on the last stage, directly from this rank's own forward output).
-        let grad_in = if stage + 1 < num_stages {
-            let next_rank = GpuId(mapping.pipeline_next(rank.0).expect("not the last stage"));
-            let src_out = bwd_out
-                .get(&(next_rank, mb))
-                .copied()
+        let grad_in = if stage + 1 < p.pipeline {
+            let next_rank = GpuId(rank.0 + st.stage_ranks);
+            let src_out = st.bwd_out[st.rank_mb(next_rank, mb)]
                 .expect("next stage backward must be built first");
-            let id = st.add_p2p(
+            let label = st.labels.get(LabelFamily::PpBwd, stage, mb, 0);
+            st.add_p2p(
                 next_rank,
                 rank,
                 ParallelismAxis::Pipeline,
                 self.sizes.pp_sendrecv_per_microbatch,
-                vec![src_out],
-                format!("PP-bwd s{}->s{} mb{mb}", stage + 1, stage),
+                src_out,
+                label,
                 Some(mb),
-            );
-            bwd_recv.insert((rank, mb), id);
-            id
+            )
         } else {
-            fwd_out
-                .get(&(rank, mb))
-                .copied()
-                .expect("forward output of the last stage must exist")
+            st.fwd_out[st.rank_mb(rank, mb)].expect("forward output of the last stage must exist")
         };
 
         let mut prev_layer_task = grad_in;
         // Backward walks the layers in reverse order.
-        for l in (0..layers_per_stage).rev() {
-            let global_layer = stage * layers_per_stage + l;
-            let deps = vec![prev_layer_task];
+        for l in (0..lps).rev() {
+            let global_layer = stage * lps + l;
 
+            let label = st.labels.get(LabelFamily::Bwd, stage, mb, l);
             let bwd = st.add_compute(
                 rank,
                 self.compute.layer_backward,
-                deps,
-                format!("bwd s{stage} mb{mb} L{global_layer}"),
+                &[prev_layer_task],
+                label,
                 Some(mb),
                 Some(global_layer),
             );
+            st.mark_op(rank, false, mb, bwd);
             let mut layer_tail = bwd;
 
             // Tensor-parallel gradient collective.
             if p.tensor > 1 {
-                if let Some(group) = lookup(rank, ParallelismAxis::Tensor) {
-                    let kind = if p.sequence_parallel {
-                        CollectiveKind::AllGather
-                    } else {
-                        CollectiveKind::AllReduce
-                    };
-                    let tp = st.add_collective(
-                        group,
-                        kind,
+                if let Some(g) = st.group_of(rank, ParallelismAxis::Tensor) {
+                    let label = st.labels.get(LabelFamily::TpBwd, stage, mb, l);
+                    layer_tail = st.add_collective(
+                        g,
+                        self.tp_kinds().1,
                         self.sizes.tp_allreduce_per_layer,
-                        vec![layer_tail],
-                        format!(
-                            "TP-bwd-{} s{stage} mb{mb} L{global_layer}",
-                            kind.short_name()
-                        ),
+                        &[layer_tail],
+                        label,
                         Some(mb),
                         Some(global_layer),
                     );
-                    layer_tail = tp;
                 }
             }
 
             // Expert-parallel backward AllToAll.
             if p.expert > 1 && self.model.is_moe() {
-                if let Some(group) = lookup(rank, ParallelismAxis::Expert) {
-                    let a2a = st.add_collective(
-                        group,
+                if let Some(g) = st.group_of(rank, ParallelismAxis::Expert) {
+                    let label = st.labels.get(LabelFamily::EpBwdA2a, stage, mb, l);
+                    layer_tail = st.add_collective(
+                        g,
                         CollectiveKind::AllToAll,
                         self.sizes.ep_alltoall_per_layer,
-                        vec![layer_tail],
-                        format!("EP-bwd-A2A s{stage} mb{mb} L{global_layer}"),
+                        &[layer_tail],
+                        label,
                         Some(mb),
                         Some(global_layer),
                     );
-                    layer_tail = a2a;
                 }
             }
 
@@ -1026,30 +1177,32 @@ impl DagBuilder {
             // its own communication stream (it overlaps with the remaining backward
             // compute), so it is deliberately *not* part of the compute chain — only
             // the optimizer epilogue waits for it, via the Data-axis comm tail.
-            if mb == last_mb {
-                if let Some(group) = lookup(rank, ParallelismAxis::Data) {
-                    if !group.is_trivial() {
-                        if fsdp {
-                            st.add_collective(
-                                group,
+            if mb == last_mb && (fsdp || plain_dp) {
+                if let Some(g) = st.group_of(rank, ParallelismAxis::Data) {
+                    if !st.groups[g].is_trivial() {
+                        let (kind, bytes, family) = if fsdp {
+                            (
                                 CollectiveKind::ReduceScatter,
                                 self.sizes.fsdp_reducescatter_per_layer,
-                                vec![bwd],
-                                format!("FSDP-RS s{stage} L{global_layer}"),
-                                Some(mb),
-                                Some(global_layer),
-                            );
-                        } else if plain_dp {
-                            st.add_collective(
-                                group,
+                                LabelFamily::FsdpRs,
+                            )
+                        } else {
+                            (
                                 CollectiveKind::AllReduce,
                                 self.sizes.dp_allreduce_per_layer,
-                                vec![bwd],
-                                format!("DP-AR s{stage} L{global_layer}"),
-                                Some(mb),
-                                Some(global_layer),
-                            );
-                        }
+                                LabelFamily::DpAr,
+                            )
+                        };
+                        let label = st.labels.get(family, stage, mb, l);
+                        st.add_collective(
+                            g,
+                            kind,
+                            bytes,
+                            &[bwd],
+                            label,
+                            Some(mb),
+                            Some(global_layer),
+                        );
                     }
                 }
             }
@@ -1057,16 +1210,12 @@ impl DagBuilder {
             prev_layer_task = layer_tail;
         }
 
-        // Send the activation gradient to the previous stage.
-        if stage > 0 {
-            // The gradient leaving the stage is produced by the backward of its first
-            // layer; `prev_layer_task` currently points at the last thing issued for
-            // that layer (which may be a ReduceScatter); using it keeps the pipeline
-            // conservative and matches the sequential ordering observed in Fig. 3.
-            bwd_out.insert((rank, mb), prev_layer_task);
-        } else {
-            bwd_out.insert((rank, mb), prev_layer_task);
-        }
+        // The gradient leaving the stage is produced by the backward of its first
+        // layer; `prev_layer_task` points at the last thing issued for that layer,
+        // which keeps the pipeline conservative and matches the sequential ordering
+        // observed in Fig. 3.
+        let out = st.rank_mb(rank, mb);
+        st.bwd_out[out] = Some(prev_layer_task);
     }
 
     /// Adds ordering dependencies that realize the per-rank 1F1B schedule: the first
@@ -1074,42 +1223,20 @@ impl DagBuilder {
     /// (Most of these edges already exist through data dependencies; the ones that do
     /// not — e.g. "forward of micro-batch 2 waits for the backward of micro-batch 0 on
     /// this rank" — are what creates the pipeline's interleaving.)
-    fn add_schedule_ordering(
-        &self,
-        st: &mut BuildState,
-        mapping: &RankMapping,
-        num_stages: u32,
-        num_mb: u32,
-    ) {
-        // Index compute tasks by (rank, direction, microbatch, layer).
-        let mut first_of_op: HashMap<(GpuId, bool, u32), TaskId> = HashMap::new();
-        let mut last_of_op: HashMap<(GpuId, bool, u32), TaskId> = HashMap::new();
-        for task in &st.tasks {
-            if let TaskKind::Compute { .. } = task.kind {
-                if let (Some(mb), Some(_layer)) = (task.microbatch, task.layer) {
-                    let rank = task.participants.first();
-                    let label = task.label.as_str();
-                    let is_fwd = label.starts_with("fwd");
-                    let is_bwd = label.starts_with("bwd");
-                    if !is_fwd && !is_bwd {
-                        continue;
-                    }
-                    let key = (rank, is_fwd, mb);
-                    first_of_op.entry(key).or_insert(task.id);
-                    last_of_op.insert(key, task.id);
-                }
-            }
-        }
-        for rank_idx in 0..mapping.world_size() {
-            let rank = GpuId(rank_idx);
-            let stage = mapping.pipeline_stage_of(rank_idx);
-            let ops = self.schedule.ops(stage, num_stages, num_mb);
+    fn add_schedule_ordering(&self, st: &mut BuildState) {
+        let (num_stages, num_mb) = (self.parallel.pipeline, self.parallel.num_microbatches);
+        let ops_of_stage: Vec<Vec<PipelineOp>> = (0..num_stages)
+            .map(|stage| self.schedule.ops(stage, num_stages, num_mb))
+            .collect();
+        let world = st.compute_tail.len() as u32;
+        for rank in (0..world).map(GpuId) {
+            let ops = &ops_of_stage[(rank.0 / st.stage_ranks) as usize];
             for pair in ops.windows(2) {
                 let (prev, next) = (pair[0], pair[1]);
-                let prev_key = (rank, prev.is_forward(), prev.microbatch());
-                let next_key = (rank, next.is_forward(), next.microbatch());
-                if let (Some(&prev_last), Some(&next_first)) =
-                    (last_of_op.get(&prev_key), first_of_op.get(&next_key))
+                let prev_key = 2 * st.rank_mb(rank, prev.microbatch()) + prev.is_forward() as usize;
+                let next_key = 2 * st.rank_mb(rank, next.microbatch()) + next.is_forward() as usize;
+                if let (Some(prev_last), Some(next_first)) =
+                    (st.op_last[prev_key], st.op_first[next_key])
                 {
                     let task = &mut st.tasks[next_first];
                     if !task.deps.contains(&prev_last) {
@@ -1122,49 +1249,35 @@ impl DagBuilder {
 
     /// The optimizer epilogue: small synchronization AllReduces along DP and PP (the
     /// "<1 MB" bucket of Fig. 4(b)) followed by the local optimizer step.
-    fn build_epilogue<'a>(
-        &self,
-        st: &mut BuildState,
-        mapping: &RankMapping,
-        lookup: &impl Fn(GpuId, ParallelismAxis) -> Option<&'a CommGroup>,
-        has_dp: bool,
-    ) {
-        let world = mapping.world_size();
+    fn build_epilogue(&self, st: &mut BuildState, has_dp: bool) {
         // Snapshot the per-rank tails so every epilogue collective waits for that
         // rank's complete backward pass (compute and gradient reductions).
-        let compute_tails: Vec<Option<TaskId>> = (0..world)
-            .map(|r| st.compute_tail.get(&GpuId(r)).copied())
-            .collect();
-        let data_tails: Vec<Option<TaskId>> = (0..world)
-            .map(|r| {
-                st.comm_tail
-                    .get(&(GpuId(r), ParallelismAxis::Data))
-                    .copied()
-            })
-            .collect();
+        let compute_tails = st.compute_tail.clone();
+        let data_tails = st.data_tail.clone();
+        let (mut dp_label, mut pp_label) = (None, None);
 
-        for rank_idx in 0..world {
-            let rank = GpuId(rank_idx);
-            let mut deps: Vec<TaskId> = Vec::new();
-            if let Some(t) = compute_tails[rank_idx as usize] {
-                deps.push(t);
+        for (rank_idx, (compute_tail, data_tail)) in
+            compute_tails.into_iter().zip(data_tails).enumerate()
+        {
+            let rank = GpuId(rank_idx as u32);
+            let mut deps = DepList::new();
+            for tail in compute_tail.into_iter().chain(data_tail) {
+                deps.push(tail);
             }
-            if let Some(t) = data_tails[rank_idx as usize] {
-                deps.push(t);
-            }
-
             let mut tail_deps = deps.clone();
             // Grad-norm AllReduce along the data-parallel group. Every member "joins"
             // the same collective instance (deduplicated per group by the builder).
             if has_dp {
-                if let Some(group) = lookup(rank, ParallelismAxis::Data) {
-                    if !group.is_trivial() {
+                if let Some(g) = st.group_of(rank, ParallelismAxis::Data) {
+                    if !st.groups[g].is_trivial() {
+                        let label = *dp_label
+                            .get_or_insert_with(|| LabelId::intern("sync-AR DP (grad norm)"));
                         let ar = st.add_collective(
-                            group,
+                            g,
                             CollectiveKind::AllReduce,
                             self.sizes.sync_allreduce,
-                            deps.clone(),
-                            "sync-AR DP (grad norm)".to_string(),
+                            &deps,
+                            label,
                             None,
                             None,
                         );
@@ -1174,13 +1287,15 @@ impl DagBuilder {
             }
             // Loss / numerics AllReduce along the pipeline group.
             if self.parallel.pipeline > 1 {
-                if let Some(group) = lookup(rank, ParallelismAxis::Pipeline) {
+                if let Some(g) = st.group_of(rank, ParallelismAxis::Pipeline) {
+                    let label =
+                        *pp_label.get_or_insert_with(|| LabelId::intern("sync-AR PP (loss)"));
                     let ar = st.add_collective(
-                        group,
+                        g,
                         CollectiveKind::AllReduce,
                         self.sizes.sync_allreduce,
-                        deps.clone(),
-                        "sync-AR PP (loss)".to_string(),
+                        &deps,
+                        label,
                         None,
                         None,
                     );
@@ -1189,11 +1304,12 @@ impl DagBuilder {
             }
 
             // The local optimizer step.
+            let label = LabelId::intern(&format!("optimizer step r{rank_idx}"));
             st.add_compute(
                 rank,
                 self.compute.optimizer_step,
-                tail_deps,
-                format!("optimizer step r{rank_idx}"),
+                &tail_deps,
+                label,
                 None,
                 None,
             );

@@ -155,19 +155,15 @@ impl RankMapping {
             .collect()
     }
 
-    /// All communication groups along `axis` (one per combination of the other axes).
+    /// All communication groups along `axis` (one per combination of the other axes),
+    /// in the order of their first member.
     pub fn groups_for_axis(&self, axis: ParallelismAxis) -> Vec<Vec<u32>> {
-        let mut groups = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for rank in 0..self.world_size() {
-            let members = self.group_members(rank, axis);
-            if seen.insert(members[0]) && members[0] == rank {
-                groups.push(members);
-            }
-        }
-        // Keep only groups anchored at their first member to avoid duplicates.
-        groups.retain(|g| !g.is_empty());
-        groups
+        // A group's first member is its one rank at coordinate 0 along `axis`, so
+        // expanding only those ranks visits each group once.
+        (0..self.world_size())
+            .filter(|&rank| self.coords_of(rank).along(axis) == 0)
+            .map(|rank| self.group_members(rank, axis))
+            .collect()
     }
 
     /// Builds [`CommGroup`]s for every active axis, assigning sequential group ids.
